@@ -373,6 +373,19 @@ let kernels ?(baselines_only = false) inst =
   Buckets.reset buckets;
   let bucket_legal ~j ~target = Gains.move_fits gains topo ~j ~target in
   let rws = Race.workspace ~m ~n in
+  (* GKL swap selection on cktc under its planted Table I budgets, from
+     the planted reference: the pair scan from gkl.ml (delta first,
+     capacity and timing lazily) vs the bucket best_swap with the
+     allocation-free timing checker as its legal *)
+  let gkl_inst = Circuits.build (List.find (fun s -> s.Circuits.name = "cktc") Circuits.table1) in
+  let gkl_nl = gkl_inst.Circuits.netlist and gkl_topo = gkl_inst.Circuits.topology in
+  let gkl_gains = Gains.create gkl_nl gkl_topo gkl_inst.Circuits.reference in
+  let gkl_buckets = Buckets.create gkl_nl gkl_topo gkl_gains in
+  let gkl_a = Gains.assignment gkl_gains in
+  let gkl_legal =
+    Qbpart_timing.Check.swap_checker gkl_inst.Circuits.constraints gkl_topo ~assignment:gkl_a
+  in
+  let gkl_n = Netlist.n gkl_nl in
   (* the busiest component: worst case for the O(deg) delta kernels,
      so the delta-vs-full ratio below is a lower bound *)
   let j_hot = ref 0 in
@@ -482,6 +495,27 @@ let kernels ?(baselines_only = false) inst =
                gap));
       Test.make ~name:"gap race (pooled ws)"
         (Staged.stage (fun () -> Race.solve_relaxed ~ws:rws gap));
+      Test.make ~name:"gkl swap selection (pair scan, cktc)"
+        (Staged.stage (fun () ->
+             let best_j1 = ref (-1) and best_j2 = ref (-1) and best_d = ref infinity in
+             for j1 = 0 to gkl_n - 1 do
+               for j2 = j1 + 1 to gkl_n - 1 do
+                 if gkl_a.(j1) <> gkl_a.(j2) then begin
+                   let d = Gains.swap_delta gkl_gains ~j1 ~j2 in
+                   if d < !best_d
+                      && Gains.swap_fits gkl_gains gkl_topo ~j1 ~j2
+                      && gkl_legal ~j1 ~j2
+                   then begin
+                     best_d := d;
+                     best_j1 := j1;
+                     best_j2 := j2
+                   end
+                 end
+               done
+             done;
+             (!best_j1, !best_j2)));
+      Test.make ~name:"gkl swap selection (buckets, cktc)"
+        (Staged.stage (fun () -> Buckets.best_swap gkl_buckets ~legal:gkl_legal));
     ]
   in
   let tests = if baselines_only then baseline_tests else tests @ baseline_tests in
@@ -548,6 +582,13 @@ let kernels ?(baselines_only = false) inst =
    with
   | Some mthg, Some race when race > 0.0 ->
     Format.printf "  GAP race speedup over default MTHG (cost+weight): %.2fx@." (mthg /. race)
+  | _ -> ());
+  (match
+     ( List.assoc_opt "gkl swap selection (pair scan, cktc)" estimates,
+       List.assoc_opt "gkl swap selection (buckets, cktc)" estimates )
+   with
+  | Some scan, Some buck when buck > 0.0 ->
+    Format.printf "  bucket swap selection speedup over pair scan: %.1fx@." (scan /. buck)
   | _ -> ());
   estimates
 
@@ -1227,6 +1268,36 @@ let scale_bench quick =
         ])
       built
   in
+  (* time to a certified answer below 100k: the engine path a user
+     waits on (QBP warm-started from the planted reference, 2 Burkard
+     iterations, GKL/GFM fallbacks, the independent audit), one inner
+     job *)
+  let time_to_certified =
+    List.concat_map
+      (fun (p, inst, _) ->
+        if p.Synth.n >= 100_000 then []
+        else begin
+          let problem = Circuits.problem inst in
+          let config =
+            {
+              Engine.Config.default with
+              qbp = { Burkard.Config.default with iterations = 2 };
+              inner_jobs = 1;
+            }
+          in
+          let t0 = Unix.gettimeofday () in
+          match Engine.solve ~config ~initial:inst.Circuits.reference problem with
+          | Error e ->
+            failwith ("scale bench: " ^ p.Synth.name ^ " engine solve: " ^ Engine.Error.to_string e)
+          | Ok { Engine.certificate; _ } ->
+            let dt = Unix.gettimeofday () -. t0 in
+            if not (Certify.ok certificate) then
+              failwith ("scale bench: " ^ p.Synth.name ^ " certificate failed");
+            Format.printf "  %-10s certified end to end in %6.2fs@." p.Synth.name dt;
+            [ (p.Synth.name ^ "_certified_s", Json.Float dt) ]
+        end)
+      built
+  in
   (* full runs: certified end-to-end solve of the 100k instance *)
   let certified =
     if quick then []
@@ -1259,7 +1330,7 @@ let scale_bench quick =
         ]
     end
   in
-  let summary = layout @ throughput in
+  let summary = layout @ throughput @ time_to_certified in
   let doc =
     Json.Obj
       ([
@@ -1455,7 +1526,20 @@ let () =
           ]
         | _ -> []
       in
-      selection @ race
+      let swap_selection =
+        match
+          ( List.assoc_opt "gkl swap selection (pair scan, cktc)" !kernel_stats,
+            List.assoc_opt "gkl swap selection (buckets, cktc)" !kernel_stats )
+        with
+        | Some scan, Some buck when buck > 0.0 ->
+          [
+            ("gkl_select_scan_ns", Json.Float scan);
+            ("gkl_select_buckets_ns", Json.Float buck);
+            ("gkl_select_speedup", Json.Float (scan /. buck));
+          ]
+        | _ -> []
+      in
+      selection @ race @ swap_selection
     in
     let doc =
       Json.Obj

@@ -11,6 +11,7 @@ type t = {
   nl : Netlist.t;
   topo : Topology.t;
   gains : Gains.t;
+  sizes : float array;     (* n: component sizes, for the swap capacity test *)
   m : int;
   n : int;
   nbuckets : int;
@@ -31,8 +32,9 @@ let is_locked t j = t.locked.(j)
 
 (* Key 0 is the underflow clamp (lower bound -inf, for gains that
    drift below the fitted range mid-pass); keys 1..nbuckets-1 cover
-   [g0, g0 + (nbuckets-2)q), the top key open above. *)
-let lb t k = if k = 0 then neg_infinity else t.g0 +. (float_of_int (k - 1) *. t.q)
+   [g0, g0 + (nbuckets-2)q), the top key open above.  Inlined: the
+   selection loops call it per bucket, and a call boxes its float. *)
+let[@inline] lb t k = if k = 0 then neg_infinity else t.g0 +. (float_of_int (k - 1) *. t.q)
 
 let key_of t g =
   if g < t.g0 then 0
@@ -173,6 +175,7 @@ let create ?(nbuckets = 128) nl topo gains =
       nl;
       topo;
       gains;
+      sizes = Netlist.sizes nl;
       m;
       n;
       nbuckets;
@@ -256,14 +259,21 @@ let best_move t ~legal =
   done;
   if !best_j < 0 then None else Some (!best_j, !best_i, !best_d)
 
+(* Capacity is tested first, on every pair, with exactly
+   [Gains.swap_fits]'s float expressions: most pairs the bucket bounds
+   admit fail it, and it costs a few loads where the delta costs a
+   direct-wire lookup. *)
 let best_swap t ~legal =
   let m = t.m and nb = t.nbuckets in
+  let loads = Gains.loads t.gains and sizes = t.sizes in
   let best_d = ref infinity and bj1 = ref (-1) and bj2 = ref (-1) in
   for p1 = 0 to m - 2 do
     for p2 = p1 + 1 to m - 1 do
       let ra = (p1 * m) + p2 and rb = (p2 * m) + p1 in
       let ca = t.row_count.(ra) and cb = t.row_count.(rb) in
       if ca > 0 && cb > 0 then begin
+        let load1 = loads.(p1) and cap1 = Topology.capacity t.topo p1 in
+        let load2 = loads.(p2) and cap2 = Topology.capacity t.topo p2 in
         let base_a = ra * nb and base_b = rb * nb in
         let kb0 = advance t rb in
         let lb_b0 = lb t kb0 in
@@ -274,8 +284,9 @@ let best_swap t ~legal =
           if t.heads.(base_a + !ka) < 0 then incr ka
           else if lb t !ka +. lb_b0 +. t.corr_lb <= !best_d then begin
             let lb_a = lb t !ka in
+            let head_a = t.heads.(base_a + !ka) in
             let na_k = ref 0 in
-            let c = ref t.heads.(base_a + !ka) in
+            let c = ref head_a in
             while !c >= 0 do
               incr na_k;
               c := t.next.(!c)
@@ -286,24 +297,30 @@ let best_swap t ~legal =
             while !cont_b && !kb < nb && !seen_b < cb do
               if t.heads.(base_b + !kb) < 0 then incr kb
               else if lb_a +. lb t !kb +. t.corr_lb <= !best_d then begin
-                let c1 = ref t.heads.(base_a + !ka) in
+                let c1 = ref head_a in
                 while !c1 >= 0 do
                   let ja = !c1 / m in
+                  let sa = sizes.(ja) in
+                  let rest1 = load1 -. sa in
+                  let first = !c1 = head_a in
                   let c2 = ref t.heads.(base_b + !kb) in
                   while !c2 >= 0 do
-                    if !c1 = t.heads.(base_a + !ka) then incr seen_b;
+                    if first then incr seen_b;
                     let jb = !c2 / m in
-                    let j1 = if ja < jb then ja else jb
-                    and j2 = if ja < jb then jb else ja in
-                    let d = Gains.swap_delta t.gains ~j1 ~j2 in
-                    if
-                      (d < !best_d
-                      || (d = !best_d && (j1 < !bj1 || (j1 = !bj1 && j2 < !bj2))))
-                      && legal ~j1 ~j2
-                    then begin
-                      best_d := d;
-                      bj1 := j1;
-                      bj2 := j2
+                    let sb = sizes.(jb) in
+                    if rest1 +. sb <= cap1 && load2 -. sb +. sa <= cap2 then begin
+                      let j1 = if ja < jb then ja else jb
+                      and j2 = if ja < jb then jb else ja in
+                      let d = Gains.swap_delta t.gains ~j1 ~j2 in
+                      if
+                        (d < !best_d
+                        || (d = !best_d && (j1 < !bj1 || (j1 = !bj1 && j2 < !bj2))))
+                        && legal ~j1 ~j2
+                      then begin
+                        best_d := d;
+                        bj1 := j1;
+                        bj2 := j2
+                      end
                     end;
                     c2 := t.next.(!c2)
                   done;

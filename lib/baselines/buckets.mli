@@ -74,7 +74,12 @@ val best_move : t -> legal:(j:int -> target:int -> bool) -> (int * int * float) 
 
 val best_swap : t -> legal:(j1:int -> j2:int -> bool) -> (int * int * float) option
 (** [best_swap t ~legal] is [Some (j1, j2, delta)] ([j1 < j2]) for the
-    legal cross-partition swap minimizing [(delta, j1, j2)]
-    lexicographically — exactly the pair the GKL pair scan selects.
-    Pruned by bucket key sums plus a precomputed lower bound on the
-    direct-wire correction term. *)
+    cross-partition swap minimizing [(delta, j1, j2)]
+    lexicographically among pairs that fit capacity
+    ({!Gains.swap_fits}) and satisfy [legal] — exactly the pair the GKL
+    pair scan selects.  Capacity is part of the contract, tested on
+    every pair before its delta is priced, so [legal] is only the extra
+    predicate (GKL's timing check); like {!best_move}'s it is called
+    lazily, on fitting candidates that beat the incumbent, and must be
+    pure.  Pruned by bucket key sums plus a precomputed lower bound on
+    the direct-wire correction term. *)

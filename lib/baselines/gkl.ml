@@ -104,26 +104,20 @@ let solve ?(config = default_config) ?p ?alpha ?beta ?constraints
   let a = Gains.assignment gains in
   let locked = Array.make n false in
   (* timing legality of the full exchange: each end is checked at its
-     new partition with the other end already relocated *)
-  let swap_timing_ok j1 j2 =
+     new partition with the other end already relocated (dummies carry
+     no timing constraints) *)
+  let swap_timing_ok =
     match constraints with
-    | None -> true
-    | Some c ->
-      (* dummies carry no timing constraints *)
-      let p1 = a.(j1) and p2 = a.(j2) in
-      let where_for jm other_at j' =
-        if j' = jm then None else if j' = (if jm = j1 then j2 else j1) then Some other_at
-        else Some a.(j')
-      in
-      (j1 >= real_n || Check.placement_ok c topo ~j:j1 ~at:p2 ~where:(where_for j1 p1))
-      && (j2 >= real_n || Check.placement_ok c topo ~j:j2 ~at:p1 ~where:(where_for j2 p2))
+    | None -> fun ~j1:_ ~j2:_ -> true
+    | Some c -> Check.swap_checker c topo ~assignment:a
   in
+  (* the bucket selection ranks capacity-fitting pairs only, so timing
+     is its whole extra predicate *)
   let buckets =
     match config.selection with
     | Buckets -> Some (Buckets.create nl topo gains)
     | Scan -> None
   in
-  let legal ~j1 ~j2 = Gains.swap_fits gains topo ~j1 ~j2 && swap_timing_ok j1 j2 in
   let total_swaps = ref 0 in
   let outer = ref 0 in
   let interrupted = ref false in
@@ -148,7 +142,7 @@ let solve ?(config = default_config) ?p ?alpha ?beta ?constraints
          bounds instead of touching all N² pairs *)
       let selected =
         match buckets with
-        | Some b -> Buckets.best_swap b ~legal
+        | Some b -> Buckets.best_swap b ~legal:swap_timing_ok
         | None ->
           let best_j1 = ref (-1) and best_j2 = ref (-1) and best_d = ref infinity in
           for j1 = 0 to n - 1 do
@@ -157,7 +151,7 @@ let solve ?(config = default_config) ?p ?alpha ?beta ?constraints
                 if (not locked.(j2)) && a.(j1) <> a.(j2) then begin
                   let d = Gains.swap_delta gains ~j1 ~j2 in
                   if d < !best_d then
-                    if Gains.swap_fits gains topo ~j1 ~j2 && swap_timing_ok j1 j2 then begin
+                    if Gains.swap_fits gains topo ~j1 ~j2 && swap_timing_ok ~j1 ~j2 then begin
                       best_d := d;
                       best_j1 := j1;
                       best_j2 := j2

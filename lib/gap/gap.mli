@@ -73,7 +73,9 @@ val borrow :
     simply aliasing a buffer the caller already maintains, like the
     Burkard eta vector — and re-solving avoids the per-call copy and
     validation of two {m m×n} matrices.  The caller owns the
-    invariants ([make]'s positivity/NaN checks are skipped).  The
+    invariants ([make]'s positivity/NaN checks are skipped).  Only
+    [cost] may be refreshed in place: an MTHG workspace keys its
+    cached item order on the [weight] array's identity.  The
     instance remembers the calling domain: the aliased buffers are
     single-domain scratch space (each portfolio start builds its own),
     and {!verify_domain} enforces that at every MTHG entry point.

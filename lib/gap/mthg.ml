@@ -2,17 +2,6 @@ type criterion = Cost | Cost_times_weight | Weight | Weight_per_capacity
 
 let all_criteria = [ Cost; Cost_times_weight; Weight; Weight_per_capacity ]
 
-let desirability (g : Gap.t) criterion i j =
-  let base = j * g.Gap.m in
-  let c = g.Gap.cost.(base + i) and w = g.Gap.weight.(base + i) in
-  match criterion with
-  | Cost -> c
-  | Cost_times_weight -> c *. w
-  | Weight -> w
-  | Weight_per_capacity ->
-    let cap = g.Gap.capacity.(i) in
-    if cap > 0.0 then w /. cap else infinity
-
 (* Scratch buffers for one (m, n) shape, reused across every STEP-4/6
    call of a portfolio start so the steady-state inner loop allocates
    nothing.  [out] doubles as the result buffer: a solve given a
@@ -29,11 +18,13 @@ type workspace = {
   i2 : int array;           (* n: arg second best *)
   trial : int array;        (* n: construction in progress *)
   out : int array;          (* n: champion across criteria / result *)
-  order : int array;        (* n: relaxed_fill placement order / cascade scratch *)
+  order : int array;        (* n: relaxed_fill placement order *)
   key : float array;        (* n: relaxed_fill sort keys *)
-  sub_head : int array;     (* m: head of knapsack's subscriber list, -1 = empty *)
-  sub_next : int array;     (* 2n: cell 2j = item j via i1(j), 2j+1 via i2(j) *)
-  sub_prev : int array;     (* 2n *)
+  cursor : int array;       (* m: cascade pointer into knapsack i's heavy-first order *)
+  mutable heavy : int array;      (* items by weight, descending: n entries shared by
+                                     every knapsack for uniform weights, else m*n *)
+  mutable heavy_for : float array; (* the weight array [heavy] was sorted for *)
+  mutable uniform : bool;          (* that weight array has w_ij = w_0j for all i *)
   mutable heap_r : float array;  (* lazy max-heap of (regret, item) entries *)
   mutable heap_j : int array;
   mutable heap_len : int;
@@ -53,9 +44,10 @@ let workspace ~m ~n =
     out = Array.make n (-1);
     order = Array.make n 0;
     key = Array.make n 0.0;
-    sub_head = Array.make m (-1);
-    sub_next = Array.make (2 * n) (-1);
-    sub_prev = Array.make (2 * n) (-1);
+    cursor = Array.make m 0;
+    heavy = [||];
+    heavy_for = [||];
+    uniform = false;
     heap_r = Array.make (max 1 n) 0.0;
     heap_j = Array.make (max 1 n) 0;
     heap_len = 0;
@@ -71,6 +63,33 @@ let ensure_ws ws (g : Gap.t) =
            g.Gap.m g.Gap.n);
     ws
 
+(* Sort the items heavy-first once per weight array the workspace
+   serves (weights are fixed data: a Burkard workspace sorts once for
+   its whole life).  Uniform weights (Burkard's w_ij = s_j) need one
+   order for all knapsacks; otherwise knapsack i's order is the slice
+   [i*n, (i+1)*n). *)
+let sort_heavy ws (g : Gap.t) =
+  let weight = g.Gap.weight in
+  if ws.heavy_for != weight then begin
+    let { Gap.m; n; _ } = g in
+    let uniform = ref true in
+    for j = 0 to n - 1 do
+      let base = j * m in
+      for i = 1 to m - 1 do
+        if weight.(base + i) <> weight.(base) then uniform := false
+      done
+    done;
+    let orders = if !uniform then 1 else m in
+    if Array.length ws.heavy <> orders * n then ws.heavy <- Array.make (orders * n) 0;
+    for i = 0 to orders - 1 do
+      let idx = Array.init n Fun.id in
+      Array.sort (fun a b -> Float.compare weight.((b * m) + i) weight.((a * m) + i)) idx;
+      Array.blit idx 0 ws.heavy (i * n) n
+    done;
+    ws.uniform <- !uniform;
+    ws.heavy_for <- weight
+  end
+
 (* Greedy regret construction.  For each unassigned item we track its
    best and second-best feasible desirability; the item with the
    largest regret is committed first, so items that are about to lose
@@ -83,35 +102,46 @@ let ensure_ws ws (g : Gap.t) =
    have room the cached pair is exact.  (A knapsack outside the top
    two that becomes infeasible cannot affect the top two either.)
 
-   Two structures keep the loop out of the quadratic regime the plain
-   scans paid (the measured hot spot at ~1 ms per STEP-4/6 call):
+   Three devices keep the loop near O(n·m):
 
    - Selection is a lazy max-heap of (regret, item) entries ordered by
-     (regret desc, item asc) — exactly the order the old linear scan
-     realized with its strict-improvement sweep.  Regret changes only
-     on refresh, and every refresh pushes a fresh entry, so the top
-     valid entry is always the true maximum; stale entries (item
-     already placed, or regret no longer current) are dropped on pop.
-   - Each unassigned item subscribes to its top-2 knapsacks on
-     intrusive doubly-linked lists (cell 2j via i1, 2j+1 via i2), so a
-     placement into knapsack [i] walks only [i]'s subscribers instead
-     of rescanning all n items for the refresh cascade.
-
-   The construction order — and therefore the result, bit for bit —
-   is unchanged; only the bookkeeping is. *)
+     (regret desc, item asc) — exactly the order a linear scan with a
+     strict-improvement sweep realizes.  Regret changes only on
+     refresh, and every refresh pushes a fresh entry, so the top valid
+     entry is always the true maximum; stale entries (item already
+     placed, or regret no longer current) are dropped on pop.  Pop
+     order depends only on the entry multiset, so the order in which
+     one cascade refreshes its items is immaterial.
+   - The cascade is a monotone cursor.  Residuals only shrink, so the
+     items too heavy for knapsack [i] form a growing prefix of [i]'s
+     heavy-first order; a placement into [i] advances [i]'s cursor
+     over the items that just stopped fitting and refreshes those
+     that are unassigned and hold [i] in their top two.  An item
+     behind the cursor never holds [i] again (refreshes pick fitting
+     knapsacks only), so this is exactly the set of top-2 holders
+     that no longer fit, and each item is passed once per knapsack
+     per construction.
+   - Under [Weight] with uniform weights every fitting knapsack ties
+     at w_ij = s_j, so the strict-improvement scan makes the top two
+     the first two fitting knapsacks: the scan stops at the second,
+     and a cascade refresh resumes at the old best, since no knapsack
+     below it fitted then and none can fit again. *)
 let construct_into ?(criterion = Cost) (g : Gap.t) ws assignment =
   let { Gap.m; n; _ } = g in
-  let weight = g.Gap.weight in
+  let cost = g.Gap.cost and weight = g.Gap.weight and capacity = g.Gap.capacity in
   let residual = ws.residual and f1 = ws.f1 and f2 = ws.f2 and i1 = ws.i1 and i2 = ws.i2 in
-  let sub_head = ws.sub_head and sub_next = ws.sub_next and sub_prev = ws.sub_prev in
-  Array.blit g.Gap.capacity 0 residual 0 m;
+  sort_heavy ws g;
+  let heavy = ws.heavy and cursor = ws.cursor in
+  let stride = if ws.uniform then 0 else n in
+  let first_two = criterion = Weight && ws.uniform in
+  Array.blit capacity 0 residual 0 m;
   Array.fill assignment 0 n (-1);
-  Array.fill sub_head 0 m (-1);
+  Array.fill cursor 0 m 0;
   ws.heap_len <- 0;
   (* unassigned items with no fitting knapsack: any such item aborts
      the construction, exactly like the old full-scan stuck check *)
   let no_fit = ref 0 in
-  let regret_of j = if f2.(j) = infinity then infinity else f2.(j) -. f1.(j) in
+  let[@inline] regret_of j = if f2.(j) = infinity then infinity else f2.(j) -. f1.(j) in
   (* The heap is 4-ary with hole-based sifting: the element under
      placement rides in registers while parents/children shift into
      the hole, so each level costs loads plus one store instead of a
@@ -176,94 +206,63 @@ let construct_into ?(criterion = Cost) (g : Gap.t) ws assignment =
       hj.(!k) <- j
     end
   in
-  let unlink_cell c list_i =
-    if list_i >= 0 then begin
-      let p = sub_prev.(c) and nx = sub_next.(c) in
-      if p >= 0 then sub_next.(p) <- nx else sub_head.(list_i) <- nx;
-      if nx >= 0 then sub_prev.(nx) <- p;
-      sub_prev.(c) <- -1;
-      sub_next.(c) <- -1
-    end
-  in
-  let link_cell c list_i =
-    if list_i >= 0 then begin
-      let h = sub_head.(list_i) in
-      sub_next.(c) <- h;
-      sub_prev.(c) <- -1;
-      if h >= 0 then sub_prev.(h) <- c;
-      sub_head.(list_i) <- c
-    end
-  in
-  (* [linked]: the item's cells are currently on its top-2 lists (true
-     for cascade refreshes; false for the initial build) *)
-  let refresh ~linked j =
-    (* a linked item had i1 >= 0, so its pre-refresh regret is defined *)
-    let old_r = if linked then regret_of j else nan in
-    if linked then begin
-      unlink_cell (2 * j) i1.(j);
-      unlink_cell ((2 * j) + 1) i2.(j)
-    end;
+  (* [cascade]: a refresh because a top-2 knapsack stopped fitting
+     (false for the initial build) *)
+  let refresh ~cascade j =
+    (* a cascaded item had i1 >= 0, so its pre-refresh regret is defined *)
+    let old_r = if cascade then regret_of j else nan in
+    let from = if cascade && first_two then i1.(j) else 0 in
     let base = j * m in
-    f1.(j) <- infinity;
-    f2.(j) <- infinity;
-    i1.(j) <- -1;
-    i2.(j) <- -1;
-    (match criterion with
-    | Cost ->
-      (* the hot criterion (every STEP-4/6 call): read the cost cell
-         directly instead of paying a call + dispatch per cell *)
-      let cost = g.Gap.cost in
-      for i = 0 to m - 1 do
-        if weight.(base + i) <= residual.(i) then begin
-          let f = cost.(base + i) in
-          if f < f1.(j) then begin
-            f2.(j) <- f1.(j);
-            i2.(j) <- i1.(j);
-            f1.(j) <- f;
-            i1.(j) <- i
-          end
-          else if f < f2.(j) then begin
-            f2.(j) <- f;
-            i2.(j) <- i
-          end
+    (* the scan keeps the running top two in locals (registers), not
+       in the per-item arrays, and computes each desirability inline:
+       a call per cell would also box its float *)
+    let b1 = ref infinity and b2 = ref infinity and a1 = ref (-1) and a2 = ref (-1) in
+    let i = ref from in
+    while !i < m && not (first_two && !a2 >= 0) do
+      let i' = !i in
+      let w = weight.(base + i') in
+      if w <= residual.(i') then begin
+        let f =
+          match criterion with
+          | Cost -> cost.(base + i')
+          | Cost_times_weight -> cost.(base + i') *. w
+          | Weight -> w
+          | Weight_per_capacity ->
+            let cap = capacity.(i') in
+            if cap > 0.0 then w /. cap else infinity
+        in
+        if f < !b1 then begin
+          b2 := !b1;
+          a2 := !a1;
+          b1 := f;
+          a1 := i'
         end
-      done
-    | _ ->
-      for i = 0 to m - 1 do
-        if weight.(base + i) <= residual.(i) then begin
-          let f = desirability g criterion i j in
-          if f < f1.(j) then begin
-            f2.(j) <- f1.(j);
-            i2.(j) <- i1.(j);
-            f1.(j) <- f;
-            i1.(j) <- i
-          end
-          else if f < f2.(j) then begin
-            f2.(j) <- f;
-            i2.(j) <- i
-          end
+        else if f < !b2 then begin
+          b2 := f;
+          a2 := i'
         end
-      done);
+      end;
+      incr i
+    done;
+    f1.(j) <- !b1;
+    f2.(j) <- !b2;
+    i1.(j) <- !a1;
+    i2.(j) <- !a2;
     if i1.(j) = -1 then incr no_fit
     else begin
-      link_cell (2 * j) i1.(j);
-      link_cell ((2 * j) + 1) i2.(j);
       (* an unchanged regret keeps the item's existing heap entry
          valid (validity is checked against the current regret on
          pop), so refreshes that only reshuffle the argknapsacks —
          the common case under tie-heavy criteria — push nothing *)
       let r = regret_of j in
-      if not (linked && r = old_r) then push r j
+      if not (cascade && r = old_r) then push r j
     end
   in
   for j = 0 to n - 1 do
-    refresh ~linked:false j
+    refresh ~cascade:false j
   done;
   let unassigned = ref n in
   let stuck = ref false in
-  (* cascade scratch: [order] is only live inside [relaxed_fill_into],
-     never concurrently with a construction *)
-  let scratch = ws.order in
   while !unassigned > 0 && not !stuck do
     if !no_fit > 0 then stuck := true
     else begin
@@ -279,27 +278,17 @@ let construct_into ?(criterion = Cost) (g : Gap.t) ws assignment =
         let j = !j in
         let i = i1.(j) in
         assignment.(j) <- i;
-        unlink_cell (2 * j) i1.(j);
-        unlink_cell ((2 * j) + 1) i2.(j);
         residual.(i) <- residual.(i) -. weight.((j * m) + i);
         decr unassigned;
         let room = residual.(i) in
-        (* collect first: refresh relinks cells and would corrupt the
-           walk.  An item appears at most once in list [i] (i1 <> i2),
-           so [scratch] never overflows its n slots. *)
-        let k = ref 0 in
-        let c = ref sub_head.(i) in
-        while !c >= 0 do
-          let j' = !c lsr 1 in
-          if weight.((j' * m) + i) > room then begin
-            scratch.(!k) <- j';
-            incr k
-          end;
-          c := sub_next.(!c)
+        let o = i * stride in
+        let p = ref cursor.(i) in
+        while !p < n && weight.((heavy.(o + !p) * m) + i) > room do
+          let j' = heavy.(o + !p) in
+          if assignment.(j') = -1 && (i1.(j') = i || i2.(j') = i) then refresh ~cascade:true j';
+          incr p
         done;
-        for t = 0 to !k - 1 do
-          refresh ~linked:true scratch.(t)
-        done
+        cursor.(i) <- !p
       end
     end
   done;

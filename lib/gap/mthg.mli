@@ -23,8 +23,12 @@ val all_criteria : criterion list
 
 type workspace
 (** Scratch buffers for one [(m, n)] shape: construction caches,
-    residuals, the trial and champion assignments.  Single-domain, like
-    the {!Gap.borrow}ed buffers it is used with. *)
+    residuals, the trial and champion assignments, and the items'
+    heavy-first order for the weight array it last served.  That order
+    is re-derived whenever an instance brings a different weight array
+    (compared by physical identity), so weights must not be mutated in
+    place while a workspace serves them.  Single-domain, like the
+    {!Gap.borrow}ed buffers it is used with. *)
 
 val workspace : m:int -> n:int -> workspace
 (** @raise Invalid_argument if [m < 1] or [n < 0]. *)

@@ -209,17 +209,23 @@ let degree t j =
 
 let connection t j1 j2 =
   if j1 = j2 || j1 < 0 || j1 >= n t then 0.0
-  else
-    (* Binary search over the neighbor-sorted CSR row. *)
+  else begin
+    (* Binary search over the neighbor-sorted CSR row; a loop, not a
+       local recursive closure, so a lookup allocates nothing. *)
     let anbr = t.anbr in
-    let rec go lo hi =
-      if lo >= hi then 0.0
-      else
-        let mid = (lo + hi) / 2 in
-        let nb = anbr.(mid) in
-        if nb = j2 then t.awgt.(mid) else if nb < j2 then go (mid + 1) hi else go lo mid
-    in
-    go t.xadj.(j1) t.xadj.(j1 + 1)
+    let lo = ref t.xadj.(j1) and hi = ref t.xadj.(j1 + 1) and at = ref (-1) in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      let nb = anbr.(mid) in
+      if nb = j2 then begin
+        at := mid;
+        lo := !hi
+      end
+      else if nb < j2 then lo := mid + 1
+      else hi := mid
+    done;
+    if !at < 0 then 0.0 else t.awgt.(!at)
+  end
 
 let connection_matrix t =
   let m = Sparse_matrix.create ~rows:(n t) ~cols:(n t) () in

@@ -81,7 +81,7 @@ module Workspace = struct
     weight : float array;     (* m*n, w(i,j) = s_j, iteration-invariant *)
     capacity : float array;   (* m *)
     mthg : Mthg.workspace;
-    race : Race.workspace;    (* for [Config.gap_race] runs *)
+    race : Race.workspace Lazy.t;  (* built on the first [Config.gap_race] run *)
     u : int array;            (* n, the current iterate *)
     pool : Dompool.t;         (* intra-solve fan-out: eta recomputes,
                                  hub patches, the GAP race legs *)
@@ -99,7 +99,7 @@ module Workspace = struct
       weight = Gap.uniform_weights ~sizes ~m;
       capacity = Topology.capacities problem.Problem.topology;
       mthg = Mthg.workspace ~m ~n;
-      race = Race.workspace ~m ~n;
+      race = lazy (Race.workspace ~m ~n);
       u = Array.make n 0;
       pool;
     }
@@ -136,7 +136,9 @@ let solve ?(config = Config.default) ?initial ?(should_stop = fun () -> false)
         Mthg.solve_relaxed ~ws:ws.Workspace.mthg ~criteria:config.Config.gap_criteria
           ~improve:config.Config.gap_improve gap
     | Some race ->
-      fun gap -> Race.solve_relaxed ~config:race ~pool:ws.Workspace.pool ~ws:ws.Workspace.race gap
+      fun gap ->
+        Race.solve_relaxed ~config:race ~pool:ws.Workspace.pool
+          ~ws:(Lazy.force ws.Workspace.race) gap
   in
   let solve_gap ~step ~k gap =
     match gap_solver with

@@ -35,3 +35,31 @@ let placement_ok c topo ~j ~at ~where =
     incr k
   done;
   !ok
+
+let swap_checker c topo ~assignment =
+  let n = Constraints.n c in
+  let poff = Constraints.partner_offsets c in
+  let pids = Constraints.partner_ids c in
+  let pbout = Constraints.partner_budget_out c in
+  let pbin = Constraints.partner_budget_in c in
+  (* a private copy: reading it is an unboxed load, where a
+     [Topology.d] call returns a boxed float *)
+  let delay = Topology.d_matrix topo in
+  (* one end of the exchange: [j] at [at], its exchange partner
+     [other] at [other_at], every other partner where [assignment]
+     has it *)
+  let end_ok j at other other_at =
+    let ok = ref true in
+    let k = ref poff.(j) in
+    let hi = poff.(j + 1) in
+    while !ok && !k < hi do
+      let j' = pids.(!k) in
+      let at' = if j' = other then other_at else assignment.(j') in
+      if delay.(at).(at') > pbout.(!k) || delay.(at').(at) > pbin.(!k) then ok := false;
+      incr k
+    done;
+    !ok
+  in
+  fun ~j1 ~j2 ->
+    let p1 = assignment.(j1) and p2 = assignment.(j2) in
+    (j1 >= n || end_ok j1 p2 j2 p1) && (j2 >= n || end_ok j2 p1 j1 p2)

@@ -43,3 +43,23 @@ val placement_ok :
     placed, constraint ignored).  This is the move-legality primitive
     of the GFM/GKL baselines ("moves are allowed to take place only
     when they do not introduce timing violations"). *)
+
+val swap_checker :
+  Constraints.t ->
+  Qbpart_topology.Topology.t ->
+  assignment:int array ->
+  j1:int ->
+  j2:int ->
+  bool
+(** [swap_checker c topo ~assignment] is the timing-legality test of
+    exchanging the partitions of two components, [j1] and [j2], read
+    against the live [assignment] array: each end is checked, as by
+    {!placement_ok}, at the other's partition with the other end
+    already relocated and every further partner where [assignment]
+    has it.  Components with ids at or past [Constraints.n c] carry no
+    constraints (the GKL baseline's padding dummies).
+
+    The partner CSR and a copy of the delay matrix are fetched once,
+    when the checker is built, so a check allocates nothing: this is
+    the GKL swap selection's per-candidate test.  Adding constraints
+    to [c] afterwards is not seen by the checker. *)

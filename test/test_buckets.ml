@@ -11,6 +11,7 @@ module Topology = Qbpart_topology.Topology
 module Constraints = Qbpart_timing.Constraints
 module Assignment = Qbpart_partition.Assignment
 module Initial = Qbpart_partition.Initial
+module Check = Qbpart_timing.Check
 
 let check = Alcotest.check
 
@@ -120,7 +121,7 @@ let oracle_best_move gains topo buckets =
   done;
   Option.map (fun (d, j, i) -> (j, i, d)) !best
 
-let oracle_best_swap gains topo buckets =
+let oracle_best_swap ?(legal = fun ~j1:_ ~j2:_ -> true) gains topo buckets =
   let a = Gains.assignment gains in
   let n = Array.length a in
   let best = ref None in
@@ -135,7 +136,8 @@ let oracle_best_swap gains topo buckets =
             | Some (bd, b1, b2) ->
               d < bd || (d = bd && (j1 < b1 || (j1 = b1 && j2 < b2)))
           in
-          if beats && Gains.swap_fits gains topo ~j1 ~j2 then best := Some (d, j1, j2)
+          if beats && Gains.swap_fits gains topo ~j1 ~j2 && legal ~j1 ~j2 then
+            best := Some (d, j1, j2)
         end
       done
   done;
@@ -189,6 +191,119 @@ let prop_best_swap_matches_oracle =
         if Rng.int rng 4 = 0 then Buckets.lock buckets j1
         else if (Gains.assignment gains).(j1) <> (Gains.assignment gains).(j2) then
           Buckets.apply_swap buckets ~j1 ~j2
+      done;
+      !ok)
+
+(* The exchange timing test GKL used before [Check.swap_checker]: two
+   [placement_ok] calls, each end at the other's partition with the
+   other end already relocated; components at or past [real_n] (GKL's
+   dummies) are unconstrained. *)
+let placement_swap_ok c topo a ~real_n ~j1 ~j2 =
+  let p1 = a.(j1) and p2 = a.(j2) in
+  let where_for jm other_at j' =
+    if j' = jm then None else if j' = (if jm = j1 then j2 else j1) then Some other_at
+    else Some a.(j')
+  in
+  (j1 >= real_n || Check.placement_ok c topo ~j:j1 ~at:p2 ~where:(where_for j1 p1))
+  && (j2 >= real_n || Check.placement_ok c topo ~j:j2 ~at:p1 ~where:(where_for j2 p2))
+
+(* Budgets planted on every wire at the current distance plus a slack
+   of 0 or 1 grid step, plus a few on unwired pairs: many exchanges
+   break a budget, and the ones between timing partners (wired or not)
+   are legal only because both ends move. *)
+let tight_constraints rng nl topo a =
+  let n = Array.length a in
+  let cons = planted_constraints nl topo a ~slack:0.0 in
+  Array.iter
+    (fun w ->
+      let u = Qbpart_netlist.Wire.u w and v = Qbpart_netlist.Wire.v w in
+      if Rng.int rng 2 = 0 then
+        Constraints.add_sym cons u v (Topology.d topo a.(u) a.(v) +. 1.0))
+    (Netlist.wires nl);
+  for _ = 1 to n / 2 do
+    let u = Rng.int rng n and v = Rng.int rng n in
+    if u <> v then
+      Constraints.add cons u v (Topology.d topo a.(u) a.(v) +. float_of_int (Rng.int rng 2))
+  done;
+  cons
+
+let prop_swap_checker_matches_placement_ok =
+  QCheck.Test.make ~name:"swap_checker == two placement_ok calls, partners and dummies included"
+    ~count:60
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      let rng, nl, topo = random_setup seed ~n:14 ~wires:40 ~slack:2.0 in
+      let m = Topology.m topo in
+      let a0 = Assignment.random rng ~n:14 ~m in
+      let cons = tight_constraints rng nl topo a0 in
+      (* two padding ids past the constrained range, as GKL's dummies *)
+      let a = Array.append (Assignment.random rng ~n:14 ~m) [| Rng.int rng m; Rng.int rng m |] in
+      let legal = Check.swap_checker cons topo ~assignment:a in
+      let ok = ref true in
+      for j1 = 0 to 15 do
+        for j2 = 0 to 15 do
+          if j1 <> j2
+             && legal ~j1 ~j2 <> placement_swap_ok cons topo a ~real_n:14 ~j1 ~j2
+          then ok := false
+        done
+      done;
+      (* the checker reads the live assignment: mutate it and re-check *)
+      a.(3) <- (a.(3) + 1) mod m;
+      for j2 = 0 to 15 do
+        if j2 <> 3 && legal ~j1:3 ~j2 <> placement_swap_ok cons topo a ~real_n:14 ~j1:3 ~j2 then
+          ok := false
+      done;
+      !ok)
+
+let test_swap_checker_allocates_nothing () =
+  let rng, nl, topo = random_setup 7 ~n:14 ~wires:40 ~slack:2.0 in
+  let m = Topology.m topo in
+  let a = Assignment.random rng ~n:14 ~m in
+  let cons = tight_constraints rng nl topo a in
+  let legal = Check.swap_checker cons topo ~assignment:a in
+  let legal_count () =
+    let c = ref 0 in
+    for j1 = 0 to 13 do
+      for j2 = 0 to 13 do
+        if j1 <> j2 && legal ~j1 ~j2 then incr c
+      done
+    done;
+    !c
+  in
+  ignore (legal_count ());
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (legal_count ()));
+  let words = Gc.minor_words () -. before in
+  (* the two [Gc.minor_words] readings box a float or two themselves *)
+  check Alcotest.bool (Printf.sprintf "182 checks allocated %.0f words" words) true (words < 16.0)
+
+let prop_best_swap_matches_oracle_with_timing =
+  QCheck.Test.make
+    ~name:"best_swap == lexicographic oracle under a timing legal, swaps and locks" ~count:40
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      let rng, nl, topo = random_setup seed ~n:14 ~wires:35 ~slack:1.3 in
+      let m = Topology.m topo in
+      let a0 = Assignment.random rng ~n:14 ~m in
+      let gains = Gains.create nl topo a0 in
+      let buckets = Buckets.create ~nbuckets:16 nl topo gains in
+      let a = Gains.assignment gains in
+      let cons = tight_constraints rng nl topo a in
+      let legal = Check.swap_checker cons topo ~assignment:a in
+      let oracle_legal ~j1 ~j2 = placement_swap_ok cons topo a ~real_n:14 ~j1 ~j2 in
+      let ok = ref true in
+      for _ = 1 to 10 do
+        (match
+           ( Buckets.best_swap buckets ~legal,
+             oracle_best_swap ~legal:oracle_legal gains topo buckets )
+         with
+        | Some (j1, j2, d), Some (j1', j2', d') ->
+          if not (j1 = j1' && j2 = j2' && d = d') then ok := false
+        | None, None -> ()
+        | _ -> ok := false);
+        let j1 = Rng.int rng 14 and j2 = Rng.int rng 14 in
+        if Rng.int rng 4 = 0 then Buckets.lock buckets j1
+        else if a.(j1) <> a.(j2) then Buckets.apply_swap buckets ~j1 ~j2
       done;
       !ok)
 
@@ -257,6 +372,10 @@ let () =
         [
           q prop_best_move_matches_oracle;
           q prop_best_swap_matches_oracle;
+          q prop_best_swap_matches_oracle_with_timing;
+          q prop_swap_checker_matches_placement_ok;
+          Alcotest.test_case "swap_checker allocates nothing" `Quick
+            test_swap_checker_allocates_nothing;
           q prop_overflow_clamp_safe;
           Alcotest.test_case "tie-breaking, all-zero gains" `Quick test_tie_breaking_all_zero;
         ] );

@@ -480,6 +480,82 @@ let prop_solve_relaxed_pooled_deterministic =
       let pooled_again = Array.copy (Mthg.solve_relaxed ~ws g) in
       fresh = pooled && pooled = pooled_again)
 
+(* Wider instances in Burkard's shape: n up to 60 items, m up to 16
+   knapsacks, and, on most draws, uniform weights w_ij = s_j (the
+   STEP-4/6 instance) with sizes and costs from small integer sets, so
+   regret and desirability ties are the rule rather than the
+   exception.  These reach the cascade's monotone cursors deep into
+   each knapsack's heavy-first order and the uniform-[Weight]
+   first-two scan, which the small draws above barely touch. *)
+let random_wide_gap rng =
+  let m = 1 + Rng.int rng 16 in
+  let n = 1 + Rng.int rng 60 in
+  let uniform = Rng.int rng 4 > 0 in
+  let sizes = Array.init n (fun _ -> float_of_int (1 + Rng.int rng 3)) in
+  let weight =
+    Array.init m (fun _ ->
+        Array.init n (fun j -> if uniform then sizes.(j) else float_of_int (1 + Rng.int rng 3)))
+  in
+  let cost = Array.init m (fun _ -> Array.init n (fun _ -> float_of_int (Rng.int rng 5))) in
+  let total = Array.fold_left ( +. ) 0.0 sizes in
+  (* from over-tight (stuck constructions) to comfortable, with
+     unequal knapsacks *)
+  let slack = 0.9 +. Rng.float rng 0.7 in
+  let capacity =
+    Array.init m (fun _ -> total /. float_of_int m *. slack *. (0.8 +. Rng.float rng 0.4))
+  in
+  (cost, weight, capacity, m, n)
+
+let prop_wide_mthg_matches_boxed_oracle =
+  QCheck.Test.make
+    ~name:"MTHG equals the boxed reference on wide, tie-heavy, uniform-weight instances"
+    ~count:60
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let cost, weight, capacity, m, n = random_wide_gap rng in
+      let g = Gap.make ~cost ~weight ~capacity in
+      let ws = Mthg.workspace ~m ~n in
+      (* every criterion's construction on its own, fresh and pooled *)
+      List.for_all
+        (fun criterion ->
+          let expected = Oracle.construct criterion ~cost ~weight ~capacity ~m ~n in
+          let pooled =
+            Option.map Array.copy (Mthg.solve ~ws ~criteria:[ criterion ] ~improve:`None g)
+          in
+          Mthg.construct ~criterion g = expected && pooled = expected)
+        Mthg.all_criteria
+      && Mthg.solve ~ws g = Oracle.solve ~cost ~weight ~capacity ~m ~n)
+
+(* One pooled workspace serving instances of the same shape but with
+   different weights, back and forth: the heavy-first order it caches
+   must be re-derived for each weight array, never carried over. *)
+let prop_pooled_mthg_follows_weight_changes =
+  QCheck.Test.make ~name:"pooled MTHG re-derives its weight order per instance" ~count:40
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let cost, weight, capacity, m, n = random_wide_gap rng in
+      (* same shape, fresh weights: non-uniform when the first draw
+         was uniform, uniform otherwise *)
+      let was_uniform = Array.for_all (fun row -> row = weight.(0)) weight in
+      let sizes = Array.init n (fun _ -> float_of_int (1 + Rng.int rng 3)) in
+      let weight' =
+        Array.init m (fun _ ->
+            Array.init n (fun j ->
+                if was_uniform then float_of_int (1 + Rng.int rng 3) else sizes.(j)))
+      in
+      let ws = Mthg.workspace ~m ~n in
+      let matches_oracle weight =
+        let g = Gap.make ~cost ~weight ~capacity in
+        List.for_all
+          (fun criterion ->
+            Option.map Array.copy (Mthg.solve ~ws ~criteria:[ criterion ] ~improve:`None g)
+            = Oracle.construct criterion ~cost ~weight ~capacity ~m ~n)
+          Mthg.all_criteria
+      in
+      matches_oracle weight && matches_oracle weight' && matches_oracle weight)
+
 (* ------------------------------------------------------------------ *)
 (* Burkard workspace pooling: reuse must not change trajectories.     *)
 
@@ -537,6 +613,8 @@ let () =
         [
           qt prop_flat_mthg_matches_boxed_oracle;
           qt prop_solve_relaxed_pooled_deterministic;
+          qt prop_wide_mthg_matches_boxed_oracle;
+          qt prop_pooled_mthg_follows_weight_changes;
           Alcotest.test_case "mthg workspace shape checked" `Quick
             test_mthg_workspace_shape_checked;
         ] );
