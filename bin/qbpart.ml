@@ -37,7 +37,7 @@ module Gkl = Qbpart_baselines.Gkl
 module Deadline = Qbpart_engine.Deadline
 module Signals = Qbpart_engine.Signals
 module Engine = Qbpart_engine.Engine
-module Portfolio = Qbpart_engine.Portfolio
+module Evolve = Qbpart_evolve.Evolve
 module Checkpoint = Qbpart_engine.Checkpoint
 module Certify = Qbpart_core.Certify
 module Experiments = Qbpart_experiments
@@ -497,22 +497,16 @@ let solve_cmd =
         let t0 = Sys.time () in
         let final =
           match algorithm with
-          | `Qbp when starts > 1 ->
-            (* multi-start portfolio over a domain pool; max_rounds 1
+          | `Qbp ->
+            (* independent starts over a domain pool; max_rounds 1
                keeps each start a plain (non-continuation) Burkard run,
-               matching the single-start branch below *)
+               so one start is exactly Burkard.solve *)
             let problem = Problem.make ?constraints nl topo in
             let result =
-              Portfolio.solve ~config:qbp_config ~max_rounds:1 ?jobs ~inner_jobs ~starts
-                ~initial ~should_stop problem
+              Evolve.solve ~config:qbp_config ~max_rounds:1 ~generations:1 ?jobs ~inner_jobs
+                ~starts ~initial ~should_stop problem
             in
-            (match result.Portfolio.best_feasible with
-            | Some (a, _) -> a
-            | None -> initial)
-          | `Qbp ->
-            let problem = Problem.make ?constraints nl topo in
-            let result = Burkard.solve ~config:qbp_config ~initial ~should_stop problem in
-            (match result.Burkard.best_feasible with
+            (match result.Evolve.best_feasible with
             | Some (a, _) -> a
             | None -> initial)
           | `Gfm -> (Gfm.solve ?constraints ~should_stop nl topo ~initial).Gfm.assignment
@@ -881,7 +875,7 @@ let submit_cmd =
   let iterations = Arg.(value & opt int 100 & info [ "iterations" ] ~doc:"QBP iterations.") in
   let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Random seed.") in
   let starts =
-    Arg.(value & opt int 1 & info [ "starts" ] ~doc:"Portfolio starts for this job.")
+    Arg.(value & opt int 1 & info [ "starts" ] ~doc:"Independent QBP starts for this job.")
   in
   let gap_race =
     Arg.(value & flag & info [ "gap-race" ]
@@ -1156,7 +1150,7 @@ let session_open_cmd =
   let iterations = Arg.(value & opt int 100 & info [ "iterations" ] ~doc:"QBP iterations.") in
   let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Random seed.") in
   let starts =
-    Arg.(value & opt int 1 & info [ "starts" ] ~doc:"Portfolio starts for the base solve.")
+    Arg.(value & opt int 1 & info [ "starts" ] ~doc:"Independent QBP starts for the base solve.")
   in
   let gap_race =
     Arg.(value & flag & info [ "gap-race" ] ~doc:"Race the inner GAP solvers.")

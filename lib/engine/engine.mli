@@ -92,14 +92,16 @@ module Report : sig
     | Skipped of string   (** never ran, and why *)
 
   type stage = {
-    name : string;        (** ["initial"], ["qbp"] (or ["portfolio"]), ["gkl"], ["gfm"] *)
+    name : string;
+        (** ["initial"], ["qbp"] (or ["portfolio"] / ["evolve"]), ["gkl"], ["gfm"] *)
     outcome : stage_outcome;
     wall_seconds : float; (** wall time spent in this stage *)
     cost_after : float;   (** best feasible equation-(1) cost after the stage *)
     detail : string option;
-        (** supervision accounting for the portfolio stage (starts
+        (** supervision accounting for the primary stage (starts
             executed / retried / failed) when any start deviated from
-            the happy path; [None] otherwise *)
+            the happy path, or the evolve generation summary; [None]
+            otherwise *)
   }
 
   type t = {
@@ -151,8 +153,8 @@ module Fault : sig
     | Flaky_start of int
         (** the first k GAP calls of the stage raise {!Injected}: with
             [jobs = 1] the leading attempt(s) die immediately and the
-            supervised portfolio must retry them — the run still ends
-            with a certified feasible answer *)
+            supervised search driver must retry them — the run still
+            ends with a certified feasible answer *)
     | Corrupt_incumbent
         (** let the solve run clean, then corrupt the {e reported}
             cost before certification — simulates a delta-kernel drift
@@ -173,28 +175,28 @@ module Config : sig
     stall_epsilon : float;        (** minimum improvement that resets the stall counter *)
     start_attempts : int;         (** randomized-greedy restarts for the safety net *)
     starts : int;
-        (** independent QBP starts (≥ 1); above 1 the primary stage is
-            a {!Portfolio.solve} over a domain pool and reports as
-            ["portfolio"] *)
+        (** independent QBP starts (≥ 1), run by
+            {!Qbpart_evolve.Evolve.solve} over a domain pool; above 1
+            the primary stage reports as ["portfolio"] *)
     jobs : int option;
-        (** domain-pool cap for the portfolio; [None] means
-            {!Portfolio.default_jobs} *)
+        (** domain-pool cap for the starts; [None] means
+            {!Qbpart_evolve.Evolve.default_jobs} *)
     inner_jobs : int;
         (** per-start {!Qbpart_pool.Dompool} size (≥ 1) for the
             intra-solve kernels — η recomputes, hub patches and GAP
             race legs; 1 keeps every start single-domain *)
     retries : int;
-        (** extra supervised attempts per portfolio start after a
-            failure (≥ 0); seeds are re-derived deterministically via
-            {!Portfolio.retry_seed} *)
+        (** extra supervised attempts per start after a failure
+            (≥ 0), a single start included; seeds are re-derived
+            deterministically via {!Qbpart_evolve.Evolve.retry_seed} *)
     evolve : bool;
         (** run the primary stage as a cooperating elite-pool
-            population search ({!Qbpart_evolve.Evolve.solve}, reported
-            as ["evolve"]) instead of independent starts; [starts] is
-            then the total budget across all generations.  Evolve runs
-            are not resumable start-by-start: checkpoints carry the
-            incumbent but no per-start progress *)
-    generations : int;  (** evolve generations (≥ 1; 1 = plain portfolio) *)
+            population search over [generations] (reported as
+            ["evolve"]) instead of one generation of independent
+            starts; [starts] is then the total budget across all
+            generations.  Evolve runs are not resumable start-by-start:
+            checkpoints carry the incumbent but no per-start progress *)
+    generations : int;  (** evolve generations (≥ 1; 1 = independent starts) *)
     pool_size : int;    (** elite-pool capacity (≥ 1) *)
     min_distance : int option;
         (** elite-pool diversity radius in aligned Hamming distance;
@@ -233,12 +235,14 @@ val solve :
     tests.  Never raises.
 
     Crash safety: [on_checkpoint] receives a fresh {!Checkpoint.t}
-    after the safety net is secured, as each portfolio start completes
-    (possibly from a worker domain, serialized by the portfolio's
+    after the safety net is secured, as each QBP start completes
+    (possibly from a worker domain, serialized by the search driver's
     lock), and at every stage boundary — the caller decides whether
-    and where to persist it ({!Checkpoint.save}).  [resume] validates
-    the checkpoint against the instance (structural hash), replaces
-    [initial] with its incumbent, skips the starts it already ran, and
+    and where to persist it ({!Checkpoint.save}).  Only a plain
+    multi-start run ([starts > 1], no [evolve]) records per-start
+    progress.  [resume] validates the checkpoint against the instance
+    (structural hash), replaces [initial] with its incumbent, skips
+    the starts it already ran (per-start progress), and
     accounts its consumed budget into every checkpoint written by this
     run; a mismatched or semantically unusable checkpoint is
     [Error Resume_rejected].  Every [Ok] result has passed the

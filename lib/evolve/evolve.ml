@@ -46,11 +46,31 @@ type result = {
   interrupted : bool;
 }
 
-(* Identical streams to Portfolio.start_seed / Portfolio.retry_seed:
-   generation 0 of an evolve run IS the head of the plain portfolio,
-   bit for bit.  (The formulas are duplicated rather than imported
-   because lib/engine sits above this library.) *)
+(* Computed once per process: the count the admission decision uses is
+   the count the warning prints — recomputing at warn time could show a
+   different number than the one actually compared against. *)
+let recommended_jobs = lazy (max 1 (Domain.recommended_domain_count ()))
+
+let default_jobs () = Lazy.force recommended_jobs
+
+(* Oversubscription warns once per distinct jobs value: a sweep (or a
+   property test) re-entering [solve] with the same explicit count
+   stays quiet across restarts, while a changed --jobs value earns a
+   fresh warning.  0 = never warned. *)
+let warned_oversubscribed = Atomic.make 0
+
+(* Start k's seed: the base seed for k = 0 (so a one-start run
+   reproduces a plain Adaptive/Burkard run bit-for-bit), then jumps by
+   a large odd constant — distinct streams for the splitmix64-seeded
+   generator, and a pure function of (base, k) so the run is
+   deterministic whatever the domain count. *)
 let start_seed ~base k = base + (k * 0x9E3779B9)
+
+(* Attempt [attempt] of start [k]: attempt 0 is the start's own seed
+   (an unsupervised run is reproduced exactly), retries jump by a
+   second large odd stride so a crashing trajectory is not replayed
+   verbatim.  Pure in (base, start, attempt): a resumed run re-derives
+   the same retry seeds. *)
 let retry_seed ~base ~start ~attempt = start_seed ~base start + (attempt * 0x85EBCA6B)
 
 (* Child-construction stream of start k: disjoint from the solve and
@@ -59,20 +79,37 @@ let child_seed ~base k = start_seed ~base k lxor 0x27D4EB2F
 
 let solve ?(config = Burkard.Config.default) ?(max_rounds = 4) ?(factor = 8.0) ?jobs
     ?(inner_jobs = 1) ?(starts = 1) ?(generations = 4) ?(pool_size = 8) ?min_distance
-    ?(retries = 0) ?initial ?(should_stop = fun () -> false) ?(stall = (0, 0.0))
+    ?(retries = 0) ?skip ?initial ?(should_stop = fun () -> false) ?(stall = (0, 0.0))
     ?gap_solver ?on_improvement ?on_start_complete problem =
   if starts < 1 then invalid_arg "Evolve.solve: starts must be >= 1";
   if generations < 1 then invalid_arg "Evolve.solve: generations must be >= 1";
   if pool_size < 1 then invalid_arg "Evolve.solve: pool_size must be >= 1";
   if retries < 0 then invalid_arg "Evolve.solve: retries must be >= 0";
   if inner_jobs < 1 then invalid_arg "Evolve.solve: inner_jobs must be >= 1";
+  (* a skip set names finished starts of a checkpointed run, and only a
+     one-generation run checkpoints per-start progress: a later
+     generation's children depend on every earlier start's result *)
+  if Option.is_some skip && generations > 1 then
+    invalid_arg "Evolve.solve: skip requires generations = 1";
+  let skip = Option.value skip ~default:(fun _ -> false) in
   let jobs =
     match jobs with
-    | None -> max 1 (Domain.recommended_domain_count ())
+    | None -> default_jobs ()
     | Some j ->
       if j < 1 then invalid_arg "Evolve.solve: jobs must be >= 1";
       j
   in
+  (* the box really runs at most (concurrent starts) x (inner pool)
+     domains; warn on that product, not just the start-level count *)
+  let total_domains = min jobs starts * inner_jobs in
+  let recommended = default_jobs () in
+  if total_domains > recommended && Atomic.exchange warned_oversubscribed total_domains <> total_domains
+  then
+    Printf.eprintf
+      "qbpart: warning: %d domains (--jobs x --inner-jobs) exceed the recommended \
+       domain count %d; oversubscribing slows every domain down (results are \
+       unaffected)\n%!"
+      total_domains recommended;
   let problem = Problem.normalize problem in
   let n = Problem.n problem and m = Problem.m problem in
   let min_distance =
@@ -83,19 +120,24 @@ let solve ?(config = Burkard.Config.default) ?(max_rounds = 4) ?(factor = 8.0) ?
       d
   in
   let cons = problem.Problem.constraints in
-  (* force the memoized partner CSR before any domain spawns (same
-     shared-state hazard as in Portfolio.solve) *)
+  (* Force the lazily-built partner CSR before any domain spawns: it
+     memoizes on first access, and that write is the one piece of
+     shared state the otherwise read-only problem would mutate from
+     several domains at once. *)
   if n > 0 && not (Constraints.empty cons) then Constraints.prebuild cons;
   (* Generation plan: later generations get a half-share each so that
-     generation 0 — the portfolio-identical exploration phase — keeps
+     generation 0 — independent starts, the exploration phase — keeps
      the majority of the budget.  Total is exactly [starts]: equal
-     budget with a plain portfolio by construction. *)
+     budget with a one-generation run by construction. *)
   let gens = max 1 (min generations starts) in
   let later = if gens = 1 then 0 else max 1 (starts / (2 * gens)) in
   let gen0 = starts - ((gens - 1) * later) in
   let gen_lo g = if g = 0 then 0 else gen0 + ((g - 1) * later) in
   let gen_hi g = if g = 0 then gen0 else gen0 + (g * later) in
   let pool = Epool.create ~capacity:pool_size ~min_distance ~m in
+  (* Shared incumbent, for best-so-far reporting only: trajectories
+     never read it, so starts stay independent and the reduction below
+     stays deterministic. *)
   let lock = Mutex.create () in
   let inc_penalized = ref infinity in
   let inc_feasible = ref infinity in
@@ -120,6 +162,8 @@ let solve ?(config = Burkard.Config.default) ?(max_rounds = 4) ?(factor = 8.0) ?
   let run_start k ~attempt ~initial =
     let seed = retry_seed ~base:config.Burkard.Config.seed ~start:k ~attempt in
     let config = { config with Burkard.Config.seed } in
+    (* per-start stall guard: [patience] iterations without a penalized
+       improvement of at least [epsilon] stop the start; 0 disables *)
     let local_best = ref infinity and since = ref 0 and stalled = ref false in
     let observe (it : Burkard.iteration) =
       (if patience > 0 then
@@ -134,6 +178,13 @@ let solve ?(config = Burkard.Config.default) ?(max_rounds = 4) ?(factor = 8.0) ?
       report_improvement k it
     in
     let stop () = should_stop () || !stalled in
+    (* per-attempt scratch pool, created on the worker domain so the
+       borrowed GAP buffers it feeds never cross domains; with
+       [inner_jobs > 1] the attempt also owns a bounded domain pool
+       that fans the intra-solve kernels (eta recomputes, hub patches,
+       race legs) — total domains stay within outer x inner, and the
+       fan-out never changes a value, so the D7 determinism contract
+       survives untouched *)
     let dpool =
       if inner_jobs > 1 then Dompool.create ~domains:inner_jobs else Dompool.sequential
     in
@@ -147,6 +198,11 @@ let solve ?(config = Burkard.Config.default) ?(max_rounds = 4) ?(factor = 8.0) ?
     in
     (seed, !stalled, r)
   in
+  (* Supervision: an attempt that raises is captured, never propagated
+     out of its worker domain.  A start is retried with a re-derived
+     seed until it succeeds, [retries] extra attempts are exhausted, or
+     the caller cancels; only the final attempt's verdict is kept (the
+     attempt count and last failure message go in the report). *)
   let run_supervised k ~generation ~initial ~reseeded =
     let t0 = Unix.gettimeofday () in
     let rec go attempt last_failure =
@@ -178,6 +234,10 @@ let solve ?(config = Burkard.Config.default) ?(max_rounds = 4) ?(factor = 8.0) ?
               feasible_cost = Option.map snd r.Adaptive.best_feasible;
               wall_seconds = Unix.gettimeofday () -. t0;
               stalled;
+              (* the Burkard flag conflates the external cancel with the
+                 local stall guard; a stalled start reached its own
+                 verdict and must not be reported as cut short (a
+                 checkpoint resume would pointlessly re-run it) *)
               interrupted =
                 r.Adaptive.last.Burkard.interrupted && (should_stop () || not stalled);
               failure = None;
@@ -195,9 +255,10 @@ let solve ?(config = Burkard.Config.default) ?(max_rounds = 4) ?(factor = 8.0) ?
       Fun.protect ~finally:(fun () -> Mutex.unlock lock) (fun () -> f report best_feasible)
   in
   let results = Array.make starts None in
-  (* One generation = one batch on a work-stealing pool, exactly the
-     portfolio's shape: the calling domain is worker 0, helpers pull
-     global start indices from an atomic counter. *)
+  (* One generation = one batch on a work-stealing pool: the calling
+     domain is worker 0 (so jobs = 1 spawns nothing and runs plain
+     sequential code), helpers pull global start indices from an
+     atomic counter. *)
   let run_batch ~generation ~lo ~hi initials =
     let next = Atomic.make lo in
     let worker () =
@@ -205,7 +266,7 @@ let solve ?(config = Burkard.Config.default) ?(max_rounds = 4) ?(factor = 8.0) ?
       while !continue do
         let k = Atomic.fetch_and_add next 1 in
         if k >= hi then continue := false
-        else begin
+        else if not (skip k) then begin
           let initial, reseeded = initials.(k - lo) in
           let report, r = run_supervised k ~generation ~initial ~reseeded in
           results.(k) <- Some (report, r);
@@ -273,8 +334,11 @@ let solve ?(config = Burkard.Config.default) ?(max_rounds = 4) ?(factor = 8.0) ?
   in
   let reseeded = ref 0 in
   let stopped_early = ref false in
+  (* generation 0 always runs — every start polls [should_stop] itself,
+     so a cancelled run still reports one verdict per start — and a
+     cancel between generations ends the search *)
   for g = 0 to gens - 1 do
-    if should_stop () then stopped_early := true
+    if g > 0 && should_stop () then stopped_early := true
     else begin
       let lo = gen_lo g and hi = gen_hi g in
       let initials =
@@ -289,21 +353,10 @@ let solve ?(config = Burkard.Config.default) ?(max_rounds = 4) ?(factor = 8.0) ?
       admit_batch ~lo ~hi
     end
   done;
-  let failures = ref [] and survivors = ref 0 and executed = ref 0 in
-  for k = starts - 1 downto 0 do
-    match results.(k) with
-    | None -> ()
-    | Some (report, r) ->
-      incr executed;
-      (match (r, report.failure) with
-      | Some _, _ -> incr survivors
-      | None, Some msg -> failures := (k, msg) :: !failures
-      | None, None -> incr survivors)
-  done;
-  if !executed > 0 && !survivors = 0 && !failures <> [] then
-    raise (All_starts_failed !failures);
-  (* Same deterministic reduction as the portfolio (DESIGN.md D7):
-     ascending-index earliest strict winner via a downto scan. *)
+  (* Deterministic seed-indexed reduction (DESIGN.md D7): scan starts
+     in ascending index order and replace the champion only on strict
+     improvement, so the winner is a function of the seeds alone —
+     never of domain count or completion order. *)
   let best_feasible = ref None in
   let winner_feasible = ref None in
   let best = ref None in
@@ -311,6 +364,7 @@ let solve ?(config = Burkard.Config.default) ?(max_rounds = 4) ?(factor = 8.0) ?
   let winner_penalized = ref None in
   let interrupted = ref !stopped_early in
   let reports = ref [] in
+  let failures = ref [] and survived = ref false in
   for k = starts - 1 downto 0 do
     match results.(k) with
     | None -> ()
@@ -318,8 +372,14 @@ let solve ?(config = Burkard.Config.default) ?(max_rounds = 4) ?(factor = 8.0) ?
       reports := report :: !reports;
       if report.interrupted then interrupted := true;
       match r with
-      | None -> ()
+      | None -> (
+        match report.failure with
+        | Some msg -> failures := (k, msg) :: !failures
+        | None -> survived := true (* cancelled before its first attempt *))
       | Some r ->
+        survived := true;
+        (* downto scan, so "replace on <=" implements "earliest strict
+           winner" exactly like an ascending scan with < *)
         (match r.Adaptive.best_feasible with
         | Some (_, c)
           when (match !best_feasible with Some (_, c') -> c <= c' | None -> true) ->
@@ -333,6 +393,9 @@ let solve ?(config = Burkard.Config.default) ?(max_rounds = 4) ?(factor = 8.0) ?
           winner_penalized := Some report.start
         end)
   done;
+  (* the run as a whole fails only when every executed start exhausted
+     its attempts — one surviving start is a valid (degraded) run *)
+  if (not !survived) && !failures <> [] then raise (All_starts_failed !failures);
   let winner =
     match !winner_feasible with Some _ as w -> w | None -> !winner_penalized
   in

@@ -1,26 +1,37 @@
-(** Cooperating elite-pool population search.
+(** The multi-start search driver (DESIGN.md D15): the one place a
+    penalty-continuation QBP solve ({!Qbpart_core.Adaptive.solve}) is
+    run from several starts.
 
-    Where {!Qbpart_engine.Portfolio} runs K independent penalty-
-    continuation starts and reduces, this driver makes the starts
-    cooperate {e between} generations: every generation's feasible
-    champions are offered to a diversity-guarded elite pool
-    ({!Epool}), and the next generation's starts are warm-started from
-    recombined elites — label-aligned crossover and path relinking
-    ({!Operators}), plus recursive-bipartition seeds ({!Seeds}) —
-    each repaired back to the C1/C2 feasible set before use.
+    Section 5 of the paper observes that the Burkard iteration lands
+    near the same cost from many random starts; this driver turns
+    that robustness into throughput and quality.  [starts] solves run
+    on a pool of at most [jobs] OCaml 5 domains that pull start
+    indices from a shared atomic counter, each start with its own RNG
+    seed (a pure function of the base seed and the start index).
+    With [generations > 1] the starts also cooperate {e between}
+    generations: every generation's feasible champions are offered to
+    a diversity-guarded elite pool ({!Epool}), and the next
+    generation's starts are warm-started from recombined elites —
+    label-aligned crossover and path relinking ({!Operators}), plus
+    recursive-bipartition seeds ({!Seeds}) — each repaired back to
+    the C1/C2 feasible set before use.  One generation is the plain
+    multi-start portfolio; one start of one generation is a plain
+    {!Qbpart_core.Adaptive.solve} run, bit for bit.
 
     Determinism contract (DESIGN.md D7, extended as D12):
 
-    - starts still never couple {e within} a generation — each runs
-      exactly the trajectory its seed dictates, and generation results
-      are admitted to the pool in ascending global start index, so the
-      pool state (and hence every child) is a pure function of the
-      base seed, never of domain count or completion order;
-    - generation 0 uses the same seeds, in the same order, as a plain
-      portfolio of the same base seed — with [generations = 1] the two
-      are bit-identical;
-    - the champion is chosen by the same ascending-index
-      strict-improvement scan as the portfolio, over all generations.
+    - starts never couple {e within} a generation — the shared
+      incumbent serves best-so-far reporting and cancellation only, so
+      each start runs exactly the trajectory its seed dictates, and
+      generation results are admitted to the pool in ascending global
+      start index, so the pool state (and hence every child) is a pure
+      function of the base seed, never of domain count or completion
+      order;
+    - start 0 uses the base seed itself and receives the caller's warm
+      start;
+    - the champion is chosen by an ascending-index strict-improvement
+      scan over all generations, so a fixed base seed yields a
+      bit-identical winner whatever [jobs] is.
 
     Warm starts are captured by Burkard's initial [consider], so a
     child's quality is reflected in its start's result and the
@@ -40,37 +51,55 @@ type start_report = {
   reseeded : bool;           (** start was warm-started from the pool *)
   best_cost : float;         (** best penalized cost this start reached *)
   feasible_cost : float option;  (** best feasible equation-(1) cost, if any *)
-  wall_seconds : float;
-  stalled : bool;
-  interrupted : bool;
+  wall_seconds : float;      (** wall time of this start (overlaps others) *)
+  stalled : bool;            (** the per-start stall guard fired *)
+  interrupted : bool;        (** [should_stop] fired during this start *)
   failure : string option;
+      (** final-attempt failure after exhausting retries; [None] means
+          the start produced a result *)
 }
 
 exception All_starts_failed of (int * string) list
-(** Every executed start exhausted its attempts (same degradation
-    contract as the portfolio's exception of the same name). *)
+(** Every executed start exhausted its attempts; carries the final
+    [(start, failure)] pairs in ascending start order.  Raised by
+    {!solve} only when {e no} start survives — a supervised run
+    degrades through individual failures rather than aborting. *)
 
 type result = {
   best_feasible : (Assignment.t * float) option;
+      (** feasible champion across all starts, with its objective *)
   best : Assignment.t option;
-  best_cost : float;
-  winner : int option;       (** global start index of the champion *)
+      (** penalized champion across all starts ([None] only if no
+          start produced anything) *)
+  best_cost : float;         (** penalized cost of [best] *)
+  winner : int option;
+      (** global start index of the returned champion (feasible
+          champion when one exists, else penalized) *)
   reports : start_report list;  (** executed starts, ascending index *)
   elites : Epool.entry list; (** final pool, ascending (cost, birth) *)
-  jobs : int;
+  jobs : int;                (** domain-pool size actually used *)
   starts : int;              (** total starts across all generations *)
   generations : int;         (** generations actually configured *)
   admitted : int;            (** pool admissions (incl. replacements) *)
   reseeded : int;            (** starts warm-started from the pool *)
   interrupted : bool;
+      (** some start was cut short by [should_stop], or a cancel
+          skipped a later generation *)
 }
 
+val default_jobs : unit -> int
+(** [max 1 (Domain.recommended_domain_count ())], computed once. *)
+
 val start_seed : base:int -> int -> int
-(** Same stream as [Portfolio.start_seed] — generation 0 of an evolve
-    run replays the plain portfolio's starts exactly. *)
+(** The seed of start [k]: [base] when [k = 0], then distinct streams
+    via a large odd stride.  Exposed so tests and benches can predict
+    any start's trajectory. *)
 
 val retry_seed : base:int -> start:int -> attempt:int -> int
-(** Same stream as [Portfolio.retry_seed]. *)
+(** The seed of attempt [attempt] of start [start]: [start_seed] for
+    attempt 0, then a second large odd stride per retry.  Pure in its
+    arguments, so supervision keeps the run deterministic and a
+    resumed run re-derives identical retry seeds. *)
 
 val solve :
   ?config:Burkard.Config.t ->
@@ -83,6 +112,7 @@ val solve :
   ?pool_size:int ->
   ?min_distance:int ->
   ?retries:int ->
+  ?skip:(int -> bool) ->
   ?initial:Assignment.t ->
   ?should_stop:(unit -> bool) ->
   ?stall:int * float ->
@@ -91,24 +121,55 @@ val solve :
   ?on_start_complete:(start_report -> (Assignment.t * float) option -> unit) ->
   Problem.t ->
   result
-(** Run the population search.  [starts] (default 1) is the {e total}
-    solve budget, split across [generations] (default 4, clamped to
+(** Run the search.  [starts] (default 1) is the {e total} solve
+    budget, split across [generations] (default 4, clamped to
     [starts]): later generations get [max 1 (starts / (2 *
     generations))] starts each and generation 0 the remainder, so at
-    equal [starts] an evolve run spends exactly the portfolio's
-    wall-clock budget.  [pool_size] (default 8) caps the elite pool;
+    equal [starts] every generation count spends the same wall-clock
+    budget.  [pool_size] (default 8) caps the elite pool;
     [min_distance] is the pool's diversity radius in aligned Hamming
     distance (default [max 1 (n / 16)]).
 
-    [config], [max_rounds], [factor], [gap_solver] go to every start's
-    {!Qbpart_core.Adaptive.solve} — [config.gap_race] and the
-    per-start [inner_jobs] domain pool apply to evolve starts exactly
-    as to portfolio starts.  [jobs], [retries], [initial],
-    [should_stop], [stall], [on_improvement], [on_start_complete]
-    keep their {!Qbpart_engine.Portfolio.solve} meaning ([initial]
-    warm-starts global start 0 only; reports arrive per start, with
-    the extra [generation]/[reseeded] fields).
+    [config], [max_rounds], [factor] and [gap_solver] go to every
+    start's {!Qbpart_core.Adaptive.solve}; [config.seed] is the base
+    seed.  [jobs] caps the domain pool (default {!default_jobs}; the
+    pool never exceeds a generation's starts, and [jobs = 1] runs
+    sequentially on the calling domain without spawning).
+    [inner_jobs] (default 1) gives every running start a private
+    {!Qbpart_pool.Dompool} of that many workers for the intra-solve
+    kernels — η recomputes and hub patches, and the GAP race legs
+    under [config.gap_race] — so a single start can use several
+    cores; the box then runs up to [min jobs starts * inner_jobs]
+    domains, and a product above the recommended domain count earns a
+    once-per-value stderr warning: oversubscribing only slows every
+    domain down and never changes results.  [initial] warm-starts
+    global start 0 only.  [should_stop] is polled cooperatively by
+    every start (deadline cancellation) and between generations;
+    generation 0 always runs, so even a cancelled run reports every
+    start it owns.  [stall] is a per-start [(patience, epsilon)]
+    guard: a start stops after [patience] iterations without a
+    penalized improvement of at least [epsilon]; default disabled.
+    [on_improvement] is called under the incumbent lock, possibly
+    from another domain, whenever a start improves the global
+    best-so-far.
+
+    Supervision: an attempt that raises never aborts the run — it is
+    retried up to [retries] more times (default 0) with
+    {!retry_seed}-derived seeds, and a start that exhausts its
+    attempts is recorded in its report ([failure], [attempts]) while
+    the surviving starts reduce as usual.  {!All_starts_failed} is
+    raised only when every executed start failed.  [skip] (for
+    checkpoint resume, [generations = 1] only) excludes start indices
+    entirely: they run nothing and produce no report.
+    [on_start_complete] is called under the incumbent lock as each
+    start finishes — with the start's report and a copy of its
+    feasible champion, if any — so a caller can checkpoint progress
+    without waiting for the join.
+
+    [gap_solver], [on_improvement] and [on_start_complete] closures
+    run concurrently on several domains when [jobs > 1] — stateful
+    fault injectors are only safe with [jobs = 1].
 
     @raise Invalid_argument on non-positive [starts], [jobs],
-    [inner_jobs], [generations], [pool_size] or negative [retries],
-    [min_distance]. *)
+    [inner_jobs], [generations], [pool_size], negative [retries],
+    [min_distance], or a [skip] with [generations > 1]. *)

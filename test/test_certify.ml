@@ -167,6 +167,29 @@ let test_flaky_start_retried_to_certified_answer () =
     if not (contains d "retried") then fail ("detail does not account the retry: " ^ d)
   | None -> fail "no supervision detail despite an injected failure")
 
+let test_single_start_flaky_retried () =
+  (* a single start is supervised like any other: its crashed first
+     attempt is retried on a re-derived seed and QBP still wins (the
+     stall guard is off so the outcome speaks of supervision alone) *)
+  let problem = small_problem () in
+  let config =
+    { test_config with starts = 1; jobs = Some 1; retries = 1; stall_patience = 0 }
+  in
+  let o = assert_ok (Engine.solve ~config ~fault:(Engine.Fault.Flaky_start 1) problem) in
+  check Alcotest.bool "retried run still certified" true (Certify.ok o.Engine.certificate);
+  let r = o.Engine.report in
+  let s = stage "qbp" r in
+  (match s.Engine.Report.outcome with
+  | Engine.Report.Completed -> ()
+  | other ->
+    fail
+      (Format.asprintf "expected the retried start to complete, got %a"
+         Engine.Report.pp_stage_outcome other));
+  check Alcotest.(list string) "no fallbacks" [] r.Engine.Report.fallbacks;
+  match s.Engine.Report.detail with
+  | Some d -> if not (contains d "1 retried") then fail ("detail does not account the retry: " ^ d)
+  | None -> fail "no supervision detail despite an injected failure"
+
 let test_all_starts_failing_descends_ladder () =
   (* With retries exhausted on every start the portfolio itself fails;
      the ladder — not the caller — absorbs it. *)
@@ -240,6 +263,38 @@ let test_resume_from_checkpoint () =
   (* every start is already recorded done, so the portfolio runs none *)
   ignore o1
 
+let test_checkpoint_progress_rule () =
+  (* per-start progress is checkpointed for a plain multi-start run
+     only: a single start and an evolve run carry the incumbent alone *)
+  let problem = small_problem () in
+  let emitted config =
+    let seen = ref [] in
+    let o = assert_ok (Engine.solve ~config ~on_checkpoint:(fun cp -> seen := cp :: !seen) problem) in
+    (o, List.rev !seen)
+  in
+  let _, cps = emitted portfolio_config in
+  let final = List.nth cps (List.length cps - 1) in
+  check Alcotest.(list int) "starts = 3 ledgers every start" [ 0; 1; 2 ]
+    (List.map (fun s -> s.Checkpoint.start) final.Checkpoint.starts);
+  let no_progress what cps =
+    List.iter
+      (fun cp -> check Alcotest.int (what ^ ": no per-start progress") 0
+          (List.length cp.Checkpoint.starts))
+      cps
+  in
+  let single = { test_config with starts = 1 } in
+  let o1, cps = emitted single in
+  no_progress "starts = 1" cps;
+  no_progress "evolve" (snd (emitted { portfolio_config with evolve = true; generations = 2 }));
+  (* a single-start resume re-runs QBP from the greedy warm start and
+     lands on the uninterrupted answer *)
+  let cp = List.nth cps (List.length cps - 1) in
+  let o2 = assert_ok (Engine.solve ~config:single ~resume:cp problem) in
+  (match (stage "qbp" o2.Engine.report).Engine.Report.outcome with
+  | Engine.Report.Skipped why -> fail ("resumed single start skipped QBP: " ^ why)
+  | _ -> ());
+  check Alcotest.bool "resume is bit-identical" true (o1.Engine.assignment = o2.Engine.assignment)
+
 let test_resume_rejected_on_foreign_instance () =
   let problem = small_problem () in
   let other =
@@ -279,6 +334,8 @@ let () =
             test_corrupt_incumbent_demoted;
           Alcotest.test_case "flaky start retried" `Quick
             test_flaky_start_retried_to_certified_answer;
+          Alcotest.test_case "single flaky start retried" `Quick
+            test_single_start_flaky_retried;
           Alcotest.test_case "all starts failing descends the ladder" `Quick
             test_all_starts_failing_descends_ladder;
         ] );
@@ -287,6 +344,8 @@ let () =
           Alcotest.test_case "checkpoints emitted and valid" `Quick
             test_checkpoints_emitted_and_valid;
           Alcotest.test_case "resume from checkpoint" `Quick test_resume_from_checkpoint;
+          Alcotest.test_case "progress checkpointed for plain multi-start only" `Quick
+            test_checkpoint_progress_rule;
           Alcotest.test_case "resume rejected on foreign instance" `Quick
             test_resume_rejected_on_foreign_instance;
         ] );

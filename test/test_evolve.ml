@@ -1,8 +1,9 @@
 (* lib/evolve tests: the domain pool's fork-join contract, diversity
    alignment, elite-pool admission determinism, operator repairability
    (children always come back to C1 ∧ C2), and the population driver's
-   headline guarantees — jobs-invariance, generation-0 equivalence
-   with the plain portfolio, and certifier-clean champions. *)
+   headline guarantees — jobs-invariance, one-generation equivalence
+   with a test-local loop of independent starts, and certifier-clean
+   champions. *)
 
 open Qbpart_core
 module Netlist = Qbpart_netlist.Netlist
@@ -17,7 +18,6 @@ module Epool = Qbpart_evolve.Epool
 module Operators = Qbpart_evolve.Operators
 module Seeds = Qbpart_evolve.Seeds
 module Evolve = Qbpart_evolve.Evolve
-module Portfolio = Qbpart_engine.Portfolio
 
 let check = Alcotest.check
 let fail = Alcotest.fail
@@ -270,22 +270,62 @@ let prop_evolve_certifier_clean =
       | None -> true
       | Some (a, cost) -> Certify.ok (Certify.check ~claimed:cost problem a))
 
+(* The independent-start oracle: one plain Adaptive.solve per start,
+   start k seeded [start_seed ~base k], the warm start on start 0 only,
+   reduced by an ascending scan that replaces the champion on strict
+   improvement only (the earliest strict winner). *)
+let independent_starts ~config ~initial ~starts problem =
+  let base = config.Burkard.Config.seed in
+  let best_feasible = ref None and winner_feasible = ref None in
+  let best = ref None and best_cost = ref infinity and winner_penalized = ref None in
+  for k = 0 to starts - 1 do
+    let config = { config with Burkard.Config.seed = Evolve.start_seed ~base k } in
+    let initial = if k = 0 then Some initial else None in
+    let r = Adaptive.solve ~config ?initial problem in
+    (match (r.Adaptive.best_feasible, !best_feasible) with
+    | Some (_, c), Some (_, c') when not (c < c') -> ()
+    | (Some _ as f), _ ->
+      best_feasible := f;
+      winner_feasible := Some k
+    | None, _ -> ());
+    let c = r.Adaptive.last.Burkard.best_cost in
+    if c < !best_cost then begin
+      best_cost := c;
+      best := Some r.Adaptive.last.Burkard.best;
+      winner_penalized := Some k
+    end
+  done;
+  let winner = match !winner_feasible with Some _ as w -> w | None -> !winner_penalized in
+  (!best_feasible, !best, !best_cost, winner)
+
 let test_evolve_gen1_matches_portfolio () =
-  (* one generation = the plain portfolio, bit for bit (same seeds,
-     same reduction) *)
+  (* one generation = a portfolio of independent starts, bit for bit
+     (same seeds, same warm start, same reduction), whatever the
+     domain budget *)
   List.iter
     (fun seed ->
       let problem = random_problem seed in
       let config = evolve_config seed in
-      let e = Evolve.solve ~config ~jobs:2 ~starts:6 ~generations:1 problem in
-      let p = Portfolio.solve ~config ~jobs:2 ~starts:6 problem in
-      (match (e.Evolve.best_feasible, p.Portfolio.best_feasible) with
-      | Some (a1, c1), Some (a2, c2) ->
-        if a1 <> a2 || c1 <> c2 then fail "feasible champion differs"
-      | None, None -> ()
-      | _ -> fail "feasibility verdict differs");
-      check Alcotest.(option int) "winner" p.Portfolio.winner e.Evolve.winner;
-      check (Alcotest.float 0.0) "penalized" p.Portfolio.best_cost e.Evolve.best_cost)
+      let initial =
+        Assignment.random (Rng.create (seed + 1)) ~n:(Problem.n problem) ~m:(Problem.m problem)
+      in
+      let o_feasible, o_best, o_cost, o_winner =
+        independent_starts ~config ~initial ~starts:6 problem
+      in
+      List.iter
+        (fun (jobs, inner_jobs) ->
+          let e =
+            Evolve.solve ~config ~jobs ~inner_jobs ~starts:6 ~generations:1 ~initial problem
+          in
+          (match (e.Evolve.best_feasible, o_feasible) with
+          | Some (a1, c1), Some (a2, c2) ->
+            if a1 <> a2 || c1 <> c2 then fail "feasible champion differs"
+          | None, None -> ()
+          | _ -> fail "feasibility verdict differs");
+          check Alcotest.bool "penalized champion" true (e.Evolve.best = o_best);
+          check Alcotest.(option int) "winner" o_winner e.Evolve.winner;
+          check (Alcotest.float 0.0) "penalized" o_cost e.Evolve.best_cost)
+        [ (1, 1); (2, 1); (2, 2) ])
     [ 11; 42; 1234 ]
 
 let test_evolve_elites_diverse_and_feasible () =
@@ -333,7 +373,10 @@ let test_evolve_validation () =
   expect_invalid (fun () -> Evolve.solve ~jobs:0 problem);
   expect_invalid (fun () -> Evolve.solve ~inner_jobs:0 problem);
   expect_invalid (fun () -> Evolve.solve ~min_distance:(-1) problem);
-  expect_invalid (fun () -> Evolve.solve ~retries:(-1) problem)
+  expect_invalid (fun () -> Evolve.solve ~retries:(-1) problem);
+  (* only a one-generation run checkpoints per-start progress, so only
+     it may skip finished starts *)
+  expect_invalid (fun () -> Evolve.solve ~starts:4 ~generations:2 ~skip:(fun _ -> false) problem)
 
 let () =
   let qt = QCheck_alcotest.to_alcotest in
