@@ -47,6 +47,7 @@ module Problem = Qbpart_core.Problem
 module Qmatrix = Qbpart_core.Qmatrix
 module Burkard = Qbpart_core.Burkard
 module Certify = Qbpart_core.Certify
+module Repair = Qbpart_core.Repair
 module Gains = Qbpart_baselines.Gains
 module Buckets = Qbpart_baselines.Buckets
 module Gfm = Qbpart_baselines.Gfm
@@ -390,6 +391,26 @@ let kernels ?(baselines_only = false) inst =
     Qbpart_timing.Check.swap_checker gkl_inst.Circuits.constraints gkl_topo ~assignment:gkl_a
   in
   let gkl_n = Netlist.n gkl_nl in
+  (* One Burkard iteration's work after its two GAP solves, on cktc
+     under its planted budgets: the tracked polish of the iterate, then
+     the strict repair probe on a copy, each through its row cache as
+     the solver's workspace keeps them.  Every run replays the same
+     iterate (the planted reference, polished to a fixpoint, after a
+     16-component jump), so a run re-prices the rows that the jump and
+     the previous run's moves made stale, as consecutive iterations
+     do. *)
+  let pg_problem = Problem.make ~constraints:gkl_inst.Circuits.constraints gkl_nl gkl_topo in
+  let pg_q = Qmatrix.make pg_problem and pg_strict = Qmatrix.make ~penalty:1e12 pg_problem in
+  let pg_m = Topology.m gkl_topo in
+  let pg_rows = Repair.cache ~m:pg_m ~n:gkl_n in
+  let pg_strict_rows = Repair.cache ~m:pg_m ~n:gkl_n in
+  let pg_iterate = Array.copy gkl_inst.Circuits.reference in
+  Repair.polish pg_q pg_iterate ~passes:50;
+  for k = 0 to 15 do
+    let j = k * (gkl_n / 17) mod gkl_n in
+    pg_iterate.(j) <- (pg_iterate.(j) + 1 + (k mod (pg_m - 1))) mod pg_m
+  done;
+  let pg_u = Array.copy pg_iterate in
   (* the busiest component: worst case for the O(deg) delta kernels,
      so the delta-vs-full ratio below is a lower bound *)
   let j_hot = ref 0 in
@@ -446,6 +467,11 @@ let kernels ?(baselines_only = false) inst =
         (Staged.stage (fun () -> Evaluate.wirelength nl topo u));
       Test.make ~name:"timing check (all constraints)"
         (Staged.stage (fun () -> Qbpart_timing.Check.count cons topo ~assignment:u));
+      Test.make ~name:"post-GAP polish + repair probe (cktc)"
+        (Staged.stage (fun () ->
+             Array.blit pg_iterate 0 pg_u 0 gkl_n;
+             ignore (Repair.polish_tracked ~cache:pg_rows pg_q pg_u ~passes:1 : float * int);
+             Repair.to_feasible ~cache:pg_strict_rows pg_strict (Array.copy pg_u) ~rounds:6));
       (* GFM/GKL inner loops *)
       Test.make ~name:"gains move_delta row scan"
         (Staged.stage (fun () ->
@@ -1503,7 +1529,13 @@ let () =
           [ ("inner_loop_race_ns", Json.Float ((sync /. 2.0) +. (2.0 *. race))) ]
         | _ -> []
       in
-      base @ inner @ inner_race
+      (* the rest of an iteration: polish + repair probe (D16) *)
+      let post_gap =
+        match List.assoc_opt "post-GAP polish + repair probe (cktc)" !kernel_stats with
+        | Some ns -> [ ("post_gap_ns", Json.Float ns) ]
+        | None -> []
+      in
+      base @ inner @ inner_race @ post_gap
     in
     (* the baseline-kernel subset also emitted by [--only-baselines],
        gated separately in CI via [compare --summary baselines_summary] *)

@@ -115,13 +115,19 @@ let repair problem a =
   let problem = Problem.normalize problem in
   let strict = Qmatrix.make ~penalty:1e12 problem in
   let timing_trivial = Qbpart_timing.Constraints.empty problem.Problem.constraints in
+  (* one row cache across the attempts: each re-prices only what the
+     capacity unload and the previous descent moved *)
+  let rows =
+    if timing_trivial then None
+    else Some (Repair.cache ~m:(Problem.m problem) ~n:(Problem.n problem))
+  in
   let feasible () = Problem.feasible problem a in
   let rec attempt k =
     if feasible () then true
     else if k = 0 then false
     else begin
       ignore (unload_capacity problem a);
-      if not timing_trivial then ignore (Repair.to_feasible strict a ~rounds:6);
+      if not timing_trivial then ignore (Repair.to_feasible ?cache:rows strict a ~rounds:6);
       (* the timing descent ignores capacity, so the two passes
          alternate until a fixed point or the budget runs dry *)
       attempt (k - 1)

@@ -1,7 +1,10 @@
-(* Each row is a hashtable keyed by column.  Sorted iteration sorts the
-   bindings on demand; all hot paths in the solvers use adjacency lists
-   built once from this structure, so iteration cost here is not
-   critical. *)
+(* Each row is a hashtable keyed by column, so [get]/[set] are O(1)
+   while a matrix is being built.  Sorted iteration is not cheap: every
+   [iter]/[fold] call conses each row's bindings into a list and sorts
+   it.  It serves one-off walks only — [Constraints] building its
+   partner CSR from the budgets stored here, and tests.  No solver path
+   iterates this store: the netlist adjacency and the timing partners
+   are flat CSR arrays, and [Constraints.iter] walks its CSR. *)
 
 type t = {
   rows : int;

@@ -83,6 +83,11 @@ module Workspace = struct
     mthg : Mthg.workspace;
     race : Race.workspace Lazy.t;  (* built on the first [Config.gap_race] run *)
     u : int array;            (* n, the current iterate *)
+    rows : Repair.cache;      (* candidate rows under the solver's q *)
+    strict_rows : Repair.cache option;
+                              (* under the strict q; only for instances
+                                 with timing constraints, which the
+                                 repair probe needs *)
     pool : Dompool.t;         (* intra-solve fan-out: eta recomputes,
                                  hub patches, the GAP race legs *)
   }
@@ -101,6 +106,10 @@ module Workspace = struct
       mthg = Mthg.workspace ~m ~n;
       race = lazy (Race.workspace ~m ~n);
       u = Array.make n 0;
+      rows = Repair.cache ~m ~n;
+      strict_rows =
+        (if Constraints.empty problem.Problem.constraints then None
+         else Some (Repair.cache ~m ~n));
       pool;
     }
 end
@@ -217,7 +226,10 @@ let solve ?(config = Config.default) ?initial ?(should_stop = fun () -> false)
         memo := Some s;
         s
   in
-  let polish ?(q = q) ~passes a = Repair.polish q a ~passes in
+  (* Both row caches price matrices built by this call ([q] above and
+     the memoised strict one), so their first pass here finds every row
+     stale: the reset each penalty round needs. *)
+  let rows = ws.Workspace.rows and strict_rows = ws.Workspace.strict_rows in
   let interrupted = ref false in
   let stop () =
     if not !interrupted then interrupted := should_stop ();
@@ -253,12 +265,15 @@ let solve ?(config = Config.default) ?initial ?(should_stop = fun () -> false)
       let known =
         ref
           (if config.Config.strict_polish then begin
-             polish ~q:(strict_q ()) ~passes:config.Config.polish_passes u;
+             Repair.polish ?cache:strict_rows (strict_q ()) u
+               ~passes:config.Config.polish_passes;
              evaluate u
            end
            else begin
              let c0, v0 = evaluate u in
-             let dc, dv = Repair.polish_tracked q u ~passes:config.Config.polish_passes in
+             let dc, dv =
+               Repair.polish_tracked ~cache:rows q u ~passes:config.Config.polish_passes
+             in
              (c0 +. dc, v0 + dv)
            end)
       in
@@ -273,7 +288,7 @@ let solve ?(config = Config.default) ?initial ?(should_stop = fun () -> false)
         && not (Constraints.empty problem.Problem.constraints)
       then begin
         let probe = Assignment.copy u in
-        let reached = Repair.to_feasible (strict_q ()) probe ~rounds:6 in
+        let reached = Repair.to_feasible ?cache:strict_rows (strict_q ()) probe ~rounds:6 in
         ignore (consider probe);
         if config.Config.adopt_repair && reached && Problem.capacity_feasible problem probe then begin
           Array.blit probe 0 u 0 n;
@@ -299,14 +314,15 @@ let solve ?(config = Config.default) ?initial ?(should_stop = fun () -> false)
   done;
   if config.Config.final_polish > 0 && not !interrupted then begin
     let final = Assignment.copy best in
-    polish ~passes:config.Config.final_polish final;
+    Repair.polish ~cache:rows q final ~passes:config.Config.final_polish;
     ignore (consider final);
     (* also try to push the penalized champion all the way to
        feasibility — repair moves may cost a little objective but can
        mint a better feasible solution than any iterate produced *)
     if not (Constraints.empty problem.Problem.constraints) then begin
       let repaired = Assignment.copy best in
-      if Repair.to_feasible (strict_q ()) repaired ~rounds:10 then ignore (consider repaired)
+      if Repair.to_feasible ?cache:strict_rows (strict_q ()) repaired ~rounds:10 then
+        ignore (consider repaired)
     end;
     (* Polish the feasible champion under an effectively infinite
        penalty: improving moves can then never introduce a timing
@@ -315,7 +331,10 @@ let solve ?(config = Config.default) ?initial ?(should_stop = fun () -> false)
     | None -> ()
     | Some _ ->
       let final = Assignment.copy best_feasible_buf in
-      polish ~q:(strict_q ()) ~passes:config.Config.final_polish final;
+      (* without timing constraints there is no strict cache; the
+         solver's is free from here on, and rebinds to the strict q *)
+      let cache = Option.value strict_rows ~default:rows in
+      Repair.polish ~cache (strict_q ()) final ~passes:config.Config.final_polish;
       ignore (consider final)
   end;
   {

@@ -69,8 +69,14 @@ val value : t -> Assignment.t -> float
 
 val candidate_costs_into : t -> Assignment.t -> j:int -> float array -> unit
 (** Allocation-free variant of {!candidate_costs} writing into a
-    caller-provided length-{m M} buffer (hot path of the polish
-    pass). *)
+    caller-provided length-{m M} buffer. *)
+
+val candidate_costs_at : t -> Assignment.t -> j:int -> off:int -> float array -> unit
+(** {!candidate_costs_into} writing the row at offset [off] of a larger
+    buffer — the kernel behind the Solver-rule eta and the polish
+    pass's row cache ([Repair.cache]).  The row reads [j]'s column of
+    {m P}, the positions of [j]'s wire neighbours and timing partners,
+    and the penalty; not [u.(j)] and nothing else. *)
 
 val candidate_costs : t -> Assignment.t -> j:int -> float array
 (** [candidate_costs t u ~j] is the length-{m M} vector of costs of

@@ -13,67 +13,128 @@ module Assignment = Qbpart_partition.Assignment
 let track_cost delta d = match delta with Some r -> r := !r +. d | None -> ()
 let track_viol dviol d = match dviol with Some r -> r := !r + d | None -> ()
 
-let coordinate_pass ?delta ?dviol q u ~loads ~scratch =
+(* Candidate-row cache (DESIGN.md D16).  Invariant: a row not marked
+   stale was computed by [Qmatrix.candidate_costs_at] under [bound] with
+   every neighbour and partner of its component where [seen] has it. *)
+type cache = {
+  c_m : int;
+  c_n : int;
+  rows : float array;  (* row j at j*m *)
+  seen : int array;
+  stale : Bytes.t;  (* '\001': recompute row j before reading it *)
+  mutable bound : Qmatrix.t option;  (* the matrix the rows price *)
+}
+
+let cache ~m ~n =
+  if m < 0 || n < 0 then invalid_arg "Repair.cache: negative dimension";
+  {
+    c_m = m;
+    c_n = n;
+    rows = Array.make (m * n) 0.0;
+    seen = Array.make n 0;
+    stale = Bytes.make n '\001';
+    bound = None;
+  }
+
+let mark_moved c q j =
+  let problem = Qmatrix.problem q in
+  let nl = problem.Problem.netlist in
+  let cons = problem.Problem.constraints in
+  let stale = c.stale in
+  Bytes.set stale j '\001';
+  let xadj = Netlist.adj_offsets nl and anbr = Netlist.adj_targets nl in
+  for k = xadj.(j) to xadj.(j + 1) - 1 do
+    Bytes.set stale anbr.(k) '\001'
+  done;
+  let poff = Constraints.partner_offsets cons and pids = Constraints.partner_ids cons in
+  for k = poff.(j) to poff.(j + 1) - 1 do
+    Bytes.set stale pids.(k) '\001'
+  done
+
+(* Bring [c] up to date with [u] under [q]: an O(n) diff against the
+   assignment the rows reflect, or all rows stale for a matrix the
+   cache has not priced (every Burkard solve builds fresh ones). *)
+let sync c q u =
+  let problem = Qmatrix.problem q in
+  let m = Problem.m problem and n = Problem.n problem in
+  if m <> c.c_m || n <> c.c_n then
+    invalid_arg
+      (Printf.sprintf "Repair: cache is %dx%d but problem is %dx%d" c.c_m c.c_n m n);
+  match c.bound with
+  | Some q' when q' == q ->
+    let seen = c.seen in
+    for j = 0 to n - 1 do
+      let i = u.(j) in
+      if i <> seen.(j) then begin
+        seen.(j) <- i;
+        mark_moved c q j
+      end
+    done
+  | _ ->
+    c.bound <- Some q;
+    Bytes.fill c.stale 0 n '\001';
+    Array.blit u 0 c.seen 0 n
+
+let coordinate_pass ?delta ?dviol ~cache q u ~loads =
+  sync cache q u;
   let problem = Qmatrix.problem q in
   let nl = problem.Problem.netlist in
   let topo = problem.Problem.topology in
   let m = Problem.m problem and n = Problem.n problem in
+  let rows = cache.rows and stale = cache.stale in
   let moved = ref false in
   for j = 0 to n - 1 do
-    Qmatrix.candidate_costs_into q u ~j scratch;
+    let off = j * m in
+    if Bytes.get stale j <> '\000' then begin
+      Qmatrix.candidate_costs_at q u ~j ~off rows;
+      Bytes.set stale j '\000'
+    end;
     let from = u.(j) in
     let s = Netlist.size nl j in
     let overfull = loads.(from) > Topology.capacity topo from in
     let best = ref from in
-    let best_cost = ref scratch.(from) in
+    let best_cost = ref rows.(off + from) in
     for i = 0 to m - 1 do
       if i <> from && loads.(i) +. s <= Topology.capacity topo i then
         if
-          scratch.(i) < !best_cost
-          || (overfull && !best = from && scratch.(i) <= !best_cost +. 1e-9)
+          rows.(off + i) < !best_cost
+          || (overfull && !best = from && rows.(off + i) <= !best_cost +. 1e-9)
         then begin
           best := i;
-          best_cost := scratch.(i)
+          best_cost := rows.(off + i)
         end
     done;
     if !best <> from then begin
-      track_cost delta (!best_cost -. scratch.(from));
+      track_cost delta (!best_cost -. rows.(off + from));
       track_viol dviol (Qmatrix.violations_delta q u ~j ~i:!best);
       loads.(from) <- loads.(from) -. s;
       loads.(!best) <- loads.(!best) +. s;
       u.(j) <- !best;
+      cache.seen.(j) <- !best;
+      mark_moved cache q j;
       moved := true
     end
   done;
   !moved
 
-let polish q u ~passes =
-  if passes > 0 then begin
-    let problem = Qmatrix.problem q in
-    let nl = problem.Problem.netlist in
-    let m = Problem.m problem in
-    let loads = Assignment.loads nl ~m u in
-    let scratch = Array.make m 0.0 in
-    let k = ref passes in
-    while !k > 0 && coordinate_pass q u ~loads ~scratch do
-      decr k
-    done
-  end
+let fresh_cache q =
+  let problem = Qmatrix.problem q in
+  cache ~m:(Problem.m problem) ~n:(Problem.n problem)
 
-let polish_tracked q u ~passes =
+let polish_tracked ?cache q u ~passes =
   let delta = ref 0.0 and dviol = ref 0 in
   if passes > 0 then begin
+    let cache = match cache with Some c -> c | None -> fresh_cache q in
     let problem = Qmatrix.problem q in
-    let nl = problem.Problem.netlist in
-    let m = Problem.m problem in
-    let loads = Assignment.loads nl ~m u in
-    let scratch = Array.make m 0.0 in
+    let loads = Assignment.loads problem.Problem.netlist ~m:(Problem.m problem) u in
     let k = ref passes in
-    while !k > 0 && coordinate_pass ~delta ~dviol q u ~loads ~scratch do
+    while !k > 0 && coordinate_pass ~delta ~dviol ~cache q u ~loads do
       decr k
     done
   end;
   (!delta, !dviol)
+
+let polish ?cache q u ~passes = ignore (polish_tracked ?cache q u ~passes : float * int)
 
 (* Exact local cost of component [j] at its current position: the
    candidate-cost row evaluated at u.(j). *)
@@ -172,12 +233,12 @@ let pair_pass ?delta ?dviol q u ~loads ~max_pairs =
     pairs;
   !moved
 
-let to_feasible q u ~rounds =
+let to_feasible ?cache q u ~rounds =
+  let cache = match cache with Some c -> c | None -> fresh_cache q in
   let problem = Qmatrix.problem q in
   let nl = problem.Problem.netlist in
   let m = Problem.m problem in
   let loads = Assignment.loads nl ~m u in
-  let scratch = Array.make m 0.0 in
   (* one full count up front, then maintained incrementally by the
      passes — the per-round O(constraints) feasibility rescan was a
      hot-loop cost on constraint-heavy circuits *)
@@ -192,7 +253,7 @@ let to_feasible q u ~rounds =
     incr round;
     let c1 = ref false in
     let k = ref 5 in
-    while !k > 0 && coordinate_pass ~dviol:viol q u ~loads ~scratch do
+    while !k > 0 && coordinate_pass ~dviol:viol ~cache q u ~loads do
       c1 := true;
       decr k
     done;

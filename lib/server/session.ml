@@ -396,13 +396,14 @@ let warm_attempt t ~stages (dr : Problem.delta_result) entry =
     else begin
       stage "patch" true
         (Printf.sprintf "%d touched row(s), eta drift %g" (List.length dr.Problem.dr_touched) drift);
-      if not (Repair.to_feasible q a ~rounds:8) then begin
+      let rows = Repair.cache ~m:(Problem.m problem) ~n:(Problem.n problem) in
+      if not (Repair.to_feasible ~cache:rows q a ~rounds:8) then begin
         stage "repair" false "no feasible assignment reached";
         Error "repair"
       end
       else begin
         stage "repair" true "";
-        Repair.polish q a ~passes:2;
+        Repair.polish ~cache:rows q a ~passes:2;
         stage "polish" true "";
         ignore (Qmatrix.eta_sync eta a);
         let cert = Certify.check problem a in

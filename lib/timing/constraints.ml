@@ -13,14 +13,15 @@ type csr = {
 }
 
 type t = {
-  dc : Sm.t; (* directed budgets, default +inf *)
+  dc : Sm.t; (* directed budgets, default +inf; the store [build_csr] reads *)
+  mutable count : int; (* finite directed budgets in [dc] *)
   mutable csr : csr option; (* invalidated on add *)
   mutable index : partner array array option; (* boxed compat view, lazy *)
 }
 
 let create ~n =
   if n < 0 then invalid_arg "Constraints.create: negative n";
-  { dc = Sm.create ~default:infinity ~rows:n ~cols:n (); csr = None; index = None }
+  { dc = Sm.create ~default:infinity ~rows:n ~cols:n (); count = 0; csr = None; index = None }
 
 let n t = Sm.rows t.dc
 
@@ -28,7 +29,9 @@ let add t j1 j2 budget =
   if j1 = j2 then invalid_arg "Constraints.add: self-pair";
   if Float.is_nan budget || budget < 0.0 then
     invalid_arg (Printf.sprintf "Constraints.add %d->%d: bad budget %g" j1 j2 budget);
-  if budget < Sm.get t.dc j1 j2 then begin
+  let old = Sm.get t.dc j1 j2 in
+  if budget < old then begin
+    if old = infinity then t.count <- t.count + 1;
     Sm.set t.dc j1 j2 budget;
     t.csr <- None;
     t.index <- None
@@ -40,18 +43,7 @@ let add_sym t j1 j2 budget =
 
 let budget t j1 j2 = Sm.get t.dc j1 j2
 let mem t j1 j2 = Sm.mem t.dc j1 j2
-let count t = Sm.nnz t.dc
-
-let iter t f = Sm.iter t.dc f
-
-let fold t ~init ~f = Sm.fold t.dc ~init ~f
-
-let pair_count t =
-  let seen = Hashtbl.create (count t) in
-  iter t (fun j1 j2 _ ->
-      let key = if j1 < j2 then (j1, j2) else (j2, j1) in
-      Hashtbl.replace seen key ());
-  Hashtbl.length seen
+let count t = t.count
 
 (* Counting pass + prefix sum + fill + per-row sort-and-merge.  Each
    directed budget j1->j2 contributes a slot to both endpoints; rows
@@ -62,7 +54,7 @@ let pair_count t =
 let build_csr t =
   let n = n t in
   let cnt = Array.make (n + 1) 0 in
-  iter t (fun j1 j2 _ ->
+  Sm.iter t.dc (fun j1 j2 _ ->
       cnt.(j1 + 1) <- cnt.(j1 + 1) + 1;
       cnt.(j2 + 1) <- cnt.(j2 + 1) + 1);
   for j = 1 to n do
@@ -73,7 +65,7 @@ let build_csr t =
   let raw_out = Array.make slots infinity in
   let raw_in = Array.make slots infinity in
   let cur = Array.sub cnt 0 n in
-  iter t (fun j1 j2 b ->
+  Sm.iter t.dc (fun j1 j2 b ->
       let k1 = cur.(j1) in
       raw_other.(k1) <- j2;
       raw_out.(k1) <- b;
@@ -142,6 +134,30 @@ let csr t =
 
 let prebuild t = ignore (csr t : csr)
 
+(* Row j of the CSR lists j's partners ascending, and [pbout] is finite
+   exactly where a budget j -> partner is stored: the walk below yields
+   the stored budgets in (row, column) order, the order the hashtable
+   store's sorted iteration gives, without sorting or allocating. *)
+let iter t f =
+  if t.count > 0 then begin
+    let c = csr t in
+    for j = 0 to n t - 1 do
+      for k = c.poff.(j) to c.poff.(j + 1) - 1 do
+        let b = c.pbout.(k) in
+        if b < infinity then f j c.pother.(k) b
+      done
+    done
+  end
+
+let fold t ~init ~f =
+  let acc = ref init in
+  iter t (fun j1 j2 b -> acc := f !acc j1 j2 b);
+  !acc
+
+(* Every constrained unordered pair occupies one slot in each
+   endpoint's row. *)
+let pair_count t = if t.count = 0 then 0 else (csr t).poff.(n t) / 2
+
 let partner_offsets t = (csr t).poff
 let partner_ids t = (csr t).pother
 let partner_budget_out t = (csr t).pbout
@@ -182,8 +198,8 @@ let max_partner_degree t =
   done;
   !best
 
-let copy t = { dc = Sm.copy t.dc; csr = None; index = None }
-let empty t = count t = 0
+let copy t = { dc = Sm.copy t.dc; count = t.count; csr = None; index = None }
+let empty t = t.count = 0
 
 let pp ppf t =
   Format.fprintf ppf "constraints<%d directed budgets over %d pairs, %d components>"

@@ -8,9 +8,11 @@
     constraints between them" and are discarded, so only the critical
     constraints are stored.
 
-    The structure is mutable during construction; solvers access it
-    through {!partners}, a per-component index over both incoming and
-    outgoing budgets that is (re)built lazily. *)
+    The structure is mutable during construction.  {!add} writes a
+    hashtable store; everything that reads the budgets goes through a
+    per-component partner index over both incoming and outgoing budgets
+    (the flat CSR below), built lazily from that store and dropped by
+    the next {!add}. *)
 
 type t
 
@@ -43,15 +45,24 @@ val mem : t -> int -> int -> bool
 
 val count : t -> int
 (** Number of finite directed budgets — the paper's Table I "# of
-    Timing Constraints" counts these critical constraints. *)
+    Timing Constraints" counts these critical constraints.  O(1): kept
+    by {!add}. *)
 
 val pair_count : t -> int
 (** Number of distinct unordered constrained pairs. *)
 
 val iter : t -> (int -> int -> float -> unit) -> unit
-(** Iterate over finite directed budgets. *)
+(** [iter t f] calls [f j1 j2 budget] once per finite directed budget,
+    ordered by [j1] ascending, then [j2] ascending — the (row, column)
+    order of {m D_C}.  Every reader of the budgets (feasibility checks,
+    {m yᵀQ̂y}, certification, instance hashes, the text format) sees
+    this one sequence.  The walk runs over the flat partner CSR below,
+    so it allocates nothing but builds the CSR on first use after an
+    {!add}: a loop that alternates {!add} and [iter] on the same [t]
+    rebuilds it every time.  No constraints: no CSR is built. *)
 
 val fold : t -> init:'a -> f:('a -> int -> int -> float -> 'a) -> 'a
+(** {!iter} as a fold, in the same order. *)
 
 (** {2 Flat partner CSR}
 
@@ -64,8 +75,11 @@ val fold : t -> init:'a -> f:('a -> int -> int -> float -> 'a) -> 'a
     and iterate by index. *)
 
 val prebuild : t -> unit
-(** Force the lazy partner index.  Call once before sharing [t]
-    read-only across domains so no two domains race to build it. *)
+(** Force the lazy partner index.  {!iter}, {!fold}, {!pair_count} and
+    every accessor below build it on first use, so call [prebuild] once
+    before fanning [t] out read-only across domains; otherwise two
+    domains race to build it.  [Qbpart_evolve.Evolve.solve] does this
+    before its starts run. *)
 
 val partner_offsets : t -> int array
 (** Row offsets, length [n + 1]. *)

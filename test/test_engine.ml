@@ -529,6 +529,71 @@ let test_degenerate_zero_iterations () =
     (List.length a.Adaptive.last.Burkard.history)
 
 (* ------------------------------------------------------------------ *)
+(* Table I answers, pinned: the seven engine solves of the benchmark's
+   table1 workload (default config, warm-started from the planted
+   reference, netlist printed and parsed back as the CLI reads it).
+   The expected values were recorded before the candidate-row cache
+   and the CSR constraint walks went in (DESIGN.md D16); every later
+   speed-up of the Burkard loop must reproduce them exactly. *)
+
+(* FNV-1a over the assignment's entries *)
+let digest a =
+  let h = ref 0xcbf29ce484222325L in
+  Array.iter (fun x -> h := Int64.mul (Int64.logxor !h (Int64.of_int x)) 0x100000001b3L) a;
+  Printf.sprintf "%016Lx" !h
+
+let table1_pinned =
+  [
+    ("ckta", 4303.0, "qbp", "b4363fac8e8071ef");
+    ("cktb", 1573.0, "gkl", "1a67ed04b5de8650");
+    ("cktc", 6582.0, "gkl", "ddb042d3991fae88");
+    ("cktd", 3611.0, "gkl", "782c8ecea0ca8b21");
+    ("ckte", 2229.0, "gkl", "b3892efdacc25ac1");
+    ("cktf", 2654.0, "gkl", "14989009c3ac5734");
+    ("cktg", 1902.0, "gkl", "fc7a473a46701e16");
+  ]
+
+let test_table1_answers_pinned () =
+  let total = ref 0.0 in
+  List.iter2
+    (fun spec (name, cost, winner, hash) ->
+      check Alcotest.string "circuit order" name spec.Circuits.name;
+      let inst = Circuits.build spec in
+      let nl =
+        match
+          Qbpart_netlist.Parser.parse_string
+            (Qbpart_netlist.Printer.to_string inst.Circuits.netlist)
+        with
+        | Ok nl -> nl
+        | Error e -> fail (Qbpart_netlist.Parser.error_to_string e)
+      in
+      let problem =
+        Problem.make ~constraints:(Constraints.copy inst.Circuits.constraints) nl
+          inst.Circuits.topology
+      in
+      match
+        Engine.solve ~config:Engine.Config.default ~initial:inst.Circuits.reference problem
+      with
+      | Error e -> fail (name ^ ": " ^ Engine.Error.to_string e)
+      | Ok o ->
+        let r = o.Engine.report in
+        check (Alcotest.float 0.0) (name ^ " cost") cost o.Engine.cost;
+        check Alcotest.string (name ^ " winner") winner r.Engine.Report.winner;
+        check Alcotest.bool (name ^ " stage outcomes") true
+          (List.map
+             (fun (s : Engine.Report.stage) -> (s.Engine.Report.name, s.Engine.Report.outcome))
+             r.Engine.Report.stages
+          = [
+              ("initial", Engine.Report.Completed);
+              ("qbp", Engine.Report.Stalled 25);
+              ("gkl", Engine.Report.Completed);
+            ]);
+        check Alcotest.string (name ^ " assignment digest") hash (digest o.Engine.assignment);
+        total := !total +. o.Engine.cost)
+    Circuits.table1 table1_pinned;
+  check (Alcotest.float 0.0) "sum of costs" 22854.0 !total
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   let q = QCheck_alcotest.to_alcotest in
@@ -547,6 +612,8 @@ let () =
         ] );
       ( "signals",
         [ Alcotest.test_case "subscribers compose" `Quick test_signals_compose ] );
+      ( "pinned",
+        [ Alcotest.test_case "table1 answers" `Slow test_table1_answers_pinned ] );
       ( "ladder",
         [
           Alcotest.test_case "clean run" `Quick test_engine_clean_run;

@@ -14,6 +14,7 @@ module Constraints = Qbpart_timing.Constraints
 module Assignment = Qbpart_partition.Assignment
 module Gap = Qbpart_gap.Gap
 module Mthg = Qbpart_gap.Mthg
+module Topology = Qbpart_topology.Topology
 
 let check = Alcotest.check
 let fail = Alcotest.fail
@@ -21,7 +22,7 @@ let fail = Alcotest.fail
 (* Same instance family as test_portfolio: enough wires, both
    constraint directions, and a P matrix, so the patched blocks
    exercise every term of both eta rules. *)
-let random_problem seed =
+let random_problem ?(timing = true) seed =
   let rng = Rng.create seed in
   let n = 8 + Rng.int rng 8 in
   let m = 4 in
@@ -34,7 +35,8 @@ let random_problem seed =
     if j1 <> j2 then Constraints.add cons j1 j2 (float_of_int (1 + Rng.int rng 2))
   done;
   let p = Some (Array.init m (fun _ -> Array.init n (fun _ -> Rng.float rng 5.0))) in
-  Problem.make ?p ~constraints:cons nl topo
+  let constraints = if timing then cons else Constraints.create ~n in
+  Problem.make ?p ~constraints nl topo
 
 let max_abs_diff a b =
   let d = ref 0.0 in
@@ -557,6 +559,203 @@ let prop_pooled_mthg_follows_weight_changes =
       matches_oracle weight && matches_oracle weight' && matches_oracle weight)
 
 (* ------------------------------------------------------------------ *)
+(* Constraint walks over the partner CSR (Constraints.iter/fold) yield
+   exactly the stored budgets in (j1, j2) order, whatever the history
+   of adds, tightenings and walks in between.                          *)
+
+let walk c = List.rev (Constraints.fold c ~init:[] ~f:(fun acc j1 j2 b -> (j1, j2, b) :: acc))
+
+let walk_iter c =
+  let acc = ref [] in
+  Constraints.iter c (fun j1 j2 b -> acc := (j1, j2, b) :: !acc);
+  List.rev !acc
+
+let prop_constraint_walk_sorted =
+  QCheck.Test.make
+    ~name:"CSR iter/fold = sorted (j1, j2, min budget) after adds, walks and copy"
+    ~count:200
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let n = 2 + Rng.int rng 11 in
+      let budgets = [| 0.0; 0.5; 1.0; 2.0; 3.0; infinity |] in
+      let c = Constraints.create ~n in
+      let model = Hashtbl.create 16 in
+      let add j1 j2 b =
+        Constraints.add c j1 j2 b;
+        if b < infinity then
+          match Hashtbl.find_opt model (j1, j2) with
+          | Some b' when b' <= b -> ()
+          | _ -> Hashtbl.replace model (j1, j2) b
+      in
+      let expected () =
+        List.sort compare (Hashtbl.fold (fun (j1, j2) b acc -> (j1, j2, b) :: acc) model [])
+      in
+      let pairs () =
+        let seen = Hashtbl.create 16 in
+        Hashtbl.iter (fun (j1, j2) _ -> Hashtbl.replace seen (min j1 j2, max j1 j2) ()) model;
+        Hashtbl.length seen
+      in
+      let agrees c =
+        let e = expected () in
+        walk c = e && walk_iter c = e
+        && Constraints.count c = List.length e
+        && Constraints.empty c = (e = [])
+        && Constraints.pair_count c = pairs ()
+      in
+      let ok = ref (agrees c) in
+      for _ = 1 to Rng.int rng (4 * n) do
+        let j1 = Rng.int rng n and j2 = Rng.int rng n in
+        if j1 <> j2 then begin
+          let b = budgets.(Rng.int rng (Array.length budgets)) in
+          if Rng.int rng 4 = 0 then begin
+            add j1 j2 b;
+            add j2 j1 b
+          end
+          else add j1 j2 b
+        end;
+        (* walks interleaved with the adds: each add must drop the CSR *)
+        if Rng.int rng 3 = 0 && not (agrees c) then ok := false
+      done;
+      let copy = Constraints.copy c in
+      let before = expected () in
+      let copy_ok = walk copy = before && Constraints.count copy = List.length before in
+      (* a tightening on the copy leaves the original as it was *)
+      if n >= 2 then Constraints.add copy 0 1 0.0;
+      !ok && agrees c && copy_ok && walk c = before)
+
+(* ------------------------------------------------------------------ *)
+(* Candidate-row cache (DESIGN.md D16): cached coordinate passes sharing
+   one cache across calls equal an uncached oracle, bit for bit.       *)
+
+(* The coordinate pass as it reads without a cache: every row from
+   scratch, just before its component is visited. *)
+let oracle_pass q u ~loads ~delta ~dviol =
+  let problem = Qmatrix.problem q in
+  let nl = problem.Problem.netlist and topo = problem.Problem.topology in
+  let m = Problem.m problem and n = Problem.n problem in
+  let row = Array.make m 0.0 in
+  let moved = ref false in
+  for j = 0 to n - 1 do
+    Qmatrix.candidate_costs_into q u ~j row;
+    let from = u.(j) in
+    let s = Netlist.size nl j in
+    let overfull = loads.(from) > Topology.capacity topo from in
+    let best = ref from and best_cost = ref row.(from) in
+    for i = 0 to m - 1 do
+      if i <> from && loads.(i) +. s <= Topology.capacity topo i then
+        if row.(i) < !best_cost || (overfull && !best = from && row.(i) <= !best_cost +. 1e-9)
+        then begin
+          best := i;
+          best_cost := row.(i)
+        end
+    done;
+    if !best <> from then begin
+      delta := !delta +. (!best_cost -. row.(from));
+      dviol := !dviol + Qmatrix.violations_delta q u ~j ~i:!best;
+      loads.(from) <- loads.(from) -. s;
+      loads.(!best) <- loads.(!best) +. s;
+      u.(j) <- !best;
+      moved := true
+    end
+  done;
+  !moved
+
+let same_floats a b =
+  Array.length a = Array.length b
+  && Array.for_all2 (fun x y -> Int64.bits_of_float x = Int64.bits_of_float y) a b
+
+let prop_cached_pass_matches_oracle =
+  QCheck.Test.make
+    ~name:"cached coordinate passes = uncached oracle over shared-cache call sequences"
+    ~count:60
+    QCheck.(pair (int_range 0 100_000) bool)
+    (fun (seed, timing) ->
+      let problem = Problem.normalize (random_problem ~timing seed) in
+      let n = Problem.n problem and m = Problem.m problem in
+      let nl = problem.Problem.netlist in
+      (* the solver penalty, the strict one, a second matrix equal to
+         the first but not physically, and a penalty low enough to
+         change decisions: each swap must re-price every row *)
+      let qs =
+        [|
+          Qmatrix.make ~penalty:Qmatrix.default_penalty problem;
+          Qmatrix.make ~penalty:1e12 problem;
+          Qmatrix.make ~penalty:Qmatrix.default_penalty problem;
+          Qmatrix.make ~penalty:0.01 problem;
+        |]
+      in
+      let rng = Rng.create (seed + 7) in
+      let cache = Repair.cache ~m ~n in
+      let u = Assignment.random rng ~n ~m in
+      let ok = ref true in
+      for call = 0 to 11 do
+        (* two calls per matrix, then swaps at random *)
+        let q = if call < 8 then qs.(call / 2) else qs.(Rng.int rng 4) in
+        (* perturb: a few moves, sometimes a pair pass or a full jump *)
+        (match Rng.int rng 8 with
+        | 0 -> Array.blit (Assignment.random rng ~n ~m) 0 u 0 n
+        | 1 | 2 ->
+          let loads = Assignment.loads nl ~m u in
+          ignore (Repair.pair_pass q u ~loads ~max_pairs:10 : bool)
+        | _ ->
+          for _ = 1 to Rng.int rng 4 do
+            u.(Rng.int rng n) <- Rng.int rng m
+          done);
+        let v = Assignment.copy u in
+        let loads_c = Assignment.loads nl ~m u and loads_o = Assignment.loads nl ~m v in
+        let dc = ref 0.0 and dvc = ref 0 and d_o = ref 0.0 and dvo = ref 0 in
+        let mc = Repair.coordinate_pass ~delta:dc ~dviol:dvc ~cache q u ~loads:loads_c in
+        let mo = oracle_pass q v ~loads:loads_o ~delta:d_o ~dviol:dvo in
+        if
+          not
+            (mc = mo && u = v && same_floats loads_c loads_o
+            && Int64.bits_of_float !dc = Int64.bits_of_float !d_o
+            && !dvc = !dvo)
+        then ok := false
+      done;
+      !ok)
+
+(* The passes built on the cache: a shared cache across polish and
+   repair calls, under both matrices, equals fresh-cache calls. *)
+let prop_shared_cache_repair_matches_fresh =
+  QCheck.Test.make ~name:"polish_tracked/to_feasible with a shared cache = fresh caches"
+    ~count:40
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      let problem = Problem.normalize (random_problem seed) in
+      let n = Problem.n problem and m = Problem.m problem in
+      let q = Qmatrix.make problem and strict = Qmatrix.make ~penalty:1e12 problem in
+      let rng = Rng.create (seed + 3) in
+      let rows = Repair.cache ~m ~n and strict_rows = Repair.cache ~m ~n in
+      let u = Assignment.random rng ~n ~m in
+      let ok = ref true in
+      for _ = 1 to 6 do
+        for _ = 1 to 1 + Rng.int rng 3 do
+          u.(Rng.int rng n) <- Rng.int rng m
+        done;
+        let v = Assignment.copy u in
+        let a = Repair.polish_tracked ~cache:rows q u ~passes:2 in
+        let b = Repair.polish_tracked q v ~passes:2 in
+        if a <> b || u <> v then ok := false;
+        let pu = Assignment.copy u and pv = Assignment.copy v in
+        let ra = Repair.to_feasible ~cache:strict_rows strict pu ~rounds:3 in
+        let rb = Repair.to_feasible strict pv ~rounds:3 in
+        if ra <> rb || pu <> pv then ok := false
+      done;
+      !ok)
+
+let test_cache_shape_checked () =
+  let problem = random_problem 8 in
+  let q = Qmatrix.make problem in
+  let n = Problem.n (Qmatrix.problem q) in
+  let u = Array.make n 0 in
+  let loads = Assignment.loads (Qmatrix.problem q).Problem.netlist ~m:4 u in
+  match Repair.coordinate_pass ~cache:(Repair.cache ~m:4 ~n:(n + 1)) q u ~loads with
+  | _ -> fail "mismatched row cache accepted"
+  | exception Invalid_argument _ -> ()
+
+(* ------------------------------------------------------------------ *)
 (* Burkard workspace pooling: reuse must not change trajectories.     *)
 
 let test_burkard_workspace_reuse () =
@@ -617,6 +816,13 @@ let () =
           qt prop_pooled_mthg_follows_weight_changes;
           Alcotest.test_case "mthg workspace shape checked" `Quick
             test_mthg_workspace_shape_checked;
+        ] );
+      ( "constraint walks", [ qt prop_constraint_walk_sorted ] );
+      ( "row cache",
+        [
+          qt prop_cached_pass_matches_oracle;
+          qt prop_shared_cache_repair_matches_fresh;
+          Alcotest.test_case "row cache shape checked" `Quick test_cache_shape_checked;
         ] );
       ( "workspace pooling",
         [
